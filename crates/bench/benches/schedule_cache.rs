@@ -1,12 +1,12 @@
 //! Schedule-caching ablation: iterative bounding with and without the
-//! decision-prefix schedule cache, serial and parallel, on benchmarks whose
-//! searches climb several bound levels (where re-executing the covered
-//! interior dominates the uncached cost). Each measurement lands as a JSON
+//! decision-prefix schedule cache, on benchmarks whose searches climb
+//! several bound levels (where re-executing the covered interior dominates
+//! the uncached cost). Each measurement lands as a JSON
 //! point in `target/criterion-shim/schedule_cache.jsonl`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sct_bench::{bench_config, spec};
-use sct_core::{explore, parallel_iterative_bounding, BoundKind, ExploreLimits};
+use sct_core::{explore, BoundKind, ExploreLimits};
 use std::hint::black_box;
 
 const BENCHMARKS: &[&str] = &["CS.reorder_3_bad", "CS.twostage_bad"];
@@ -55,34 +55,5 @@ fn bench_cached_vs_uncached(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cached_parallel(c: &mut Criterion) {
-    let program = spec("CS.reorder_3_bad").program();
-    let cached = ExploreLimits::with_schedule_limit(SCHEDULES).with_cache(true);
-    let workers = sct_core::default_workers().max(2);
-    let mut group = c.benchmark_group("schedule_cache");
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.sample_size(10);
-    group.bench_function(
-        BenchmarkId::new(
-            format!("IDB_cached_parallel_x{workers}"),
-            "CS.reorder_3_bad",
-        ),
-        |b| {
-            b.iter(|| {
-                let stats = parallel_iterative_bounding(
-                    &program,
-                    &bench_config(),
-                    BoundKind::Delay,
-                    &cached,
-                    workers,
-                );
-                black_box(stats.cache_hits)
-            })
-        },
-    );
-    group.finish();
-}
-
-criterion_group!(benches, bench_cached_vs_uncached, bench_cached_parallel);
+criterion_group!(benches, bench_cached_vs_uncached);
 criterion_main!(benches);

@@ -222,8 +222,9 @@ pub struct ScheduleCache {
     pub(crate) max_bytes: u64,
     pub(crate) full: bool,
     /// Atomic so [`ScheduleCache::walk`] needs only a shared borrow: under a
-    /// shared cache, parallel bound-level workers walk concurrently behind a
-    /// read lock and only insertions take the write lock.
+    /// shared cache, stealing workers and campaign techniques walk
+    /// concurrently behind a read lock and only insertions take the write
+    /// lock.
     hits: AtomicU64,
     insertions: u64,
 }
@@ -529,11 +530,11 @@ pub enum CacheHandle<'a> {
     Off,
     /// A cache owned by the (serial) driver.
     Local(&'a mut ScheduleCache),
-    /// A cache shared between parallel bound-level workers. Lookups and
-    /// insertions are transparent memo operations, so sharing never changes
-    /// any result — only how many executions are physically skipped. Walks
-    /// take the read lock (they run concurrently; the hit counter is
-    /// atomic), insertions the write lock.
+    /// A cache shared between stealing workers, or between the techniques of
+    /// a campaign. Lookups and insertions are transparent memo operations, so
+    /// sharing never changes any result — only how many executions are
+    /// physically skipped. Walks take the read lock (they run concurrently;
+    /// the hit counter is atomic), insertions the write lock.
     Shared(&'a RwLock<ScheduleCache>),
 }
 
@@ -603,9 +604,9 @@ impl ScheduleRun {
 }
 
 /// The visit-order footprint of one schedule: its full decision path and the
-/// per-step enabled-thread counts. The parallel driver ships these to the
-/// fold so it can replay the serial cache deterministically (see
-/// `crate::parallel`).
+/// per-step enabled-thread counts. Drivers whose live trie is shared replay
+/// these through a [`CacheReplay`] mirror, so their cache counters follow
+/// the serial visit order deterministically.
 #[derive(Debug, Default, Clone)]
 pub struct VisitTrace {
     /// The decision at every step, in order.
@@ -685,13 +686,14 @@ pub fn run_begun_schedule(
     (ScheduleRun::Executed(outcome), trace)
 }
 
-/// A structure-only mirror of [`ScheduleCache`] used by the parallel fold:
-/// it tracks which decision paths the serial cache would hold — and the hit
-/// and byte counters it would report — without storing any point data. The
-/// fold replays the per-level visit traces through this in bound order, so
-/// the parallel `cache_hits` / `cache_bytes` / `executions` statistics are
-/// bit-identical to the serial driver's no matter how the speculative level
-/// workers actually interleaved their (shared, opportunistic) cache use.
+/// A structure-only mirror of [`ScheduleCache`]: it tracks which decision
+/// paths the serial cache would hold — and the hit and byte counters it
+/// would report — without storing any point data. A driver whose live trie
+/// is shared (by stealing workers, or by the techniques of a campaign)
+/// replays its own visit traces through this in serial visit order, so its
+/// `cache_hits` / `cache_bytes` / `executions` statistics are bit-identical
+/// to a serial driver's with a private cache, no matter how the live trie's
+/// users actually interleaved.
 #[derive(Debug, Clone)]
 pub struct CacheReplay {
     /// Edge lists per node; `None` target marks a terminal edge.
@@ -839,8 +841,7 @@ impl CacheReplay {
 /// and replays its own visit stream through the clone, reporting the
 /// mirror's hit/byte counters. Counters therefore depend only on the loaded
 /// baseline and each technique's deterministic visit order, never on how the
-/// techniques' live-cache operations interleaved — the same trick PR 3's
-/// parallel fold uses, lifted one level up.
+/// techniques' live-cache operations interleaved.
 #[derive(Debug)]
 pub struct SharedCache {
     live: RwLock<ScheduleCache>,

@@ -1,8 +1,20 @@
 //! Exploration drivers: run a scheduling strategy against a program under a
 //! terminal-schedule limit and gather Table-3-style statistics.
+//!
+//! There are two drivers — a single-level search ([`explore_with`], and the
+//! bounded DFS behind [`bounded_dfs`] and `Technique::Dfs`) and
+//! [`iterative_bounding`] — and one per-schedule accounting loop under both.
+//! Whatever produces the schedules (a scheduler driven inline, a bounded DFS
+//! served from a schedule cache, or a level split across the work-stealing
+//! engine of [`crate::steal`]), the loop sees the same `Search` interface, so
+//! the budget, deadline, cache charge, first-bug event and progress beacon
+//! are each decided in one place.
 
 use crate::bounds::BoundKind;
-use crate::cache::{self, CacheHandle, ScheduleCache, ScheduleRun, SharedCache};
+use crate::cache::{
+    self, CacheHandle, CacheReplay, ScheduleCache, ScheduleRun, SharedCache, TerminalDigest,
+    VisitTrace,
+};
 use crate::dfs::BoundedDfs;
 use crate::maple::MapleLikeScheduler;
 use crate::pct::PctScheduler;
@@ -12,7 +24,7 @@ use crate::stats::ExplorationStats;
 use crate::telemetry::{Event, Telemetry};
 use sct_ir::Program;
 use sct_runtime::{ExecConfig, Execution, NoopObserver};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// Limits and switches applied to an exploration.
@@ -39,8 +51,8 @@ pub struct ExploreLimits {
     /// Worker threads for the work-stealing frontier *within* one systematic
     /// search or bound level (see [`crate::steal`]). `1` keeps exploration
     /// serial; any higher count produces bit-identical statistics. Randomised
-    /// techniques ignore the flag (their parallelism is budget sharding, see
-    /// [`crate::parallel`]).
+    /// techniques ignore the flag: each runs serially, and study-level
+    /// parallelism fans units out instead (see [`crate::parallel`]).
     pub steal_workers: usize,
     /// Campaign mode: a schedule cache shared across the techniques of one
     /// benchmark (and, when resuming, pre-loaded from a persistent corpus —
@@ -137,45 +149,6 @@ impl ExploreLimits {
     }
 }
 
-/// The absolute deadline of a driver that started at `started` under
-/// `limits`, or `None` when the run is unbounded in time. A budget too large
-/// to represent as an instant can never fire, so it degrades to unbounded.
-pub(crate) fn deadline_from(started: Instant, limits: &ExploreLimits) -> Option<Instant> {
-    limits
-        .time_budget
-        .and_then(|budget| started.checked_add(budget))
-}
-
-/// Whether the (optional) deadline has passed. The single clock read per
-/// schedule boundary only happens when a budget was actually set.
-pub(crate) fn deadline_fired(deadline: Option<Instant>) -> bool {
-    deadline.is_some_and(|d| Instant::now() >= d)
-}
-
-/// Emit a [`Event::BugFound`] when `stats` just transitioned from no bug to
-/// its first bug (`prev` is `schedules_to_first_bug` before the record).
-pub(crate) fn note_first_bug(
-    prev: Option<u64>,
-    stats: &ExplorationStats,
-    telemetry: &Telemetry,
-    program: &str,
-) {
-    if prev.is_none() {
-        if let Some(schedule) = stats.schedules_to_first_bug {
-            telemetry.emit(|| Event::BugFound {
-                program: program.to_string(),
-                technique: stats.technique.clone(),
-                bug: stats
-                    .first_bug
-                    .as_ref()
-                    .map(|b| b.to_string())
-                    .unwrap_or_default(),
-                schedule,
-            });
-        }
-    }
-}
-
 /// The techniques compared in the study (plus PCT as an ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Technique {
@@ -234,6 +207,348 @@ impl Technique {
     }
 }
 
+/// Whether the (optional) deadline has passed. The single clock read per
+/// schedule boundary only happens when a budget was actually set.
+fn deadline_fired(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() >= d)
+}
+
+/// One completed schedule, as a [`Search`] hands it to the accounting.
+pub(crate) struct Visit {
+    /// The terminal outcome, or its digest when no outcome exists here (a
+    /// cache hit, or a schedule a stealing worker completed).
+    pub run: ScheduleRun,
+    /// Whether the program was executed for this schedule (`false`: served
+    /// from a cache). Drivers that report through a mirror ignore it.
+    pub executed: bool,
+    /// A sleep-blocked completion, which no driver counts as a schedule.
+    pub redundant: bool,
+    /// The visit footprint, present when the caller asked for one.
+    pub trace: Option<VisitTrace>,
+}
+
+/// A search that yields terminal schedules one at a time, in serial visit
+/// order: a scheduler driven inline, or a level split across the
+/// work-stealing engine ([`crate::steal`]). The drivers run every search
+/// through the same accounting ([`Tally`]).
+pub(crate) trait Search {
+    /// Prepare the next schedule; `false` once the search is exhausted.
+    fn begin(&mut self) -> bool;
+    /// Complete the schedule [`Search::begin`] prepared. Inline bounded
+    /// searches walk and grow `cache`; the others ignore it.
+    fn complete(&mut self, cache: CacheHandle<'_>, want_trace: bool) -> Visit;
+    /// Partial-order-reduction counters `(slept, pruned_by_sleep)` so far.
+    fn sleep_counters(&self) -> (u64, u64);
+    /// Whether the search has been exhausted.
+    fn is_exhaustive(&self) -> bool;
+    /// Whether the search can be exhausted at all (see
+    /// [`Scheduler::can_exhaust`]).
+    fn can_exhaust(&self) -> bool;
+    /// Whether the bound excluded an alternative anywhere so far.
+    fn was_pruned(&self) -> bool;
+}
+
+/// Any scheduler, executing every schedule.
+struct Driven<'e, 'p> {
+    exec: &'e mut Execution<'p>,
+    scheduler: &'e mut dyn Scheduler,
+}
+
+impl Search for Driven<'_, '_> {
+    fn begin(&mut self) -> bool {
+        self.scheduler.begin_execution()
+    }
+
+    fn complete(&mut self, _cache: CacheHandle<'_>, _want_trace: bool) -> Visit {
+        self.exec.reset();
+        let scheduler = &mut *self.scheduler;
+        let outcome = self
+            .exec
+            .run(&mut |p| scheduler.choose(p), &mut NoopObserver);
+        scheduler.end_execution(&outcome);
+        Visit {
+            run: ScheduleRun::Executed(outcome),
+            executed: true,
+            redundant: scheduler.current_execution_redundant(),
+            trace: None,
+        }
+    }
+
+    fn sleep_counters(&self) -> (u64, u64) {
+        self.scheduler.sleep_counters()
+    }
+
+    fn is_exhaustive(&self) -> bool {
+        self.scheduler.is_exhaustive()
+    }
+
+    fn can_exhaust(&self) -> bool {
+        self.scheduler.can_exhaust()
+    }
+
+    fn was_pruned(&self) -> bool {
+        false
+    }
+}
+
+/// A bounded DFS whose schedules go through [`cache::run_begun_schedule`]:
+/// served when the cache holds the whole decision path, executed otherwise.
+struct Bounded<'e, 'p> {
+    exec: &'e mut Execution<'p>,
+    dfs: &'e mut BoundedDfs,
+}
+
+impl Search for Bounded<'_, '_> {
+    fn begin(&mut self) -> bool {
+        self.dfs.begin_execution()
+    }
+
+    fn complete(&mut self, cache: CacheHandle<'_>, want_trace: bool) -> Visit {
+        let (run, trace) = cache::run_begun_schedule(self.exec, self.dfs, cache, want_trace);
+        Visit {
+            executed: matches!(run, ScheduleRun::Executed(_)),
+            run,
+            redundant: self.dfs.current_execution_redundant(),
+            trace,
+        }
+    }
+
+    fn sleep_counters(&self) -> (u64, u64) {
+        self.dfs.sleep_counters()
+    }
+
+    fn is_exhaustive(&self) -> bool {
+        self.dfs.is_complete()
+    }
+
+    fn can_exhaust(&self) -> bool {
+        true
+    }
+
+    fn was_pruned(&self) -> bool {
+        self.dfs.was_pruned()
+    }
+}
+
+/// Where a driver's cache counters come from.
+enum Counters {
+    /// No cache: every schedule is executed.
+    Off,
+    /// A trie the driver owns; its own hit and byte counters are reported.
+    Local(ScheduleCache),
+    /// A structure-only replay of the driver's own visit stream. Used when
+    /// the live trie is shared — with concurrent techniques (campaign mode)
+    /// or between stealing workers — so the counters stay a deterministic
+    /// function of the serial visit order.
+    Mirror(CacheReplay),
+}
+
+/// The per-schedule accounting every driver shares: budget, deadline, fault
+/// boundary, the execution or mirror charge, the redundant-run skip, the
+/// recording of counted schedules, the first-bug event and the progress
+/// beacon — plus the exhausted-at-limit probe.
+struct Tally<'a> {
+    program: &'a Program,
+    limits: &'a ExploreLimits,
+    stats: ExplorationStats,
+    started: Instant,
+    deadline: Option<Instant>,
+    counters: Counters,
+    /// The shared trie searches walk and grow, when it is not `counters`'.
+    live: Option<&'a RwLock<ScheduleCache>>,
+    /// Receives the terminal digest of every counted schedule, in order.
+    digests: Option<&'a mut Vec<TerminalDigest>>,
+}
+
+impl<'a> Tally<'a> {
+    fn new(
+        program: &'a Program,
+        limits: &'a ExploreLimits,
+        technique: String,
+        counters: Counters,
+        live: Option<&'a RwLock<ScheduleCache>>,
+    ) -> Self {
+        let started = Instant::now();
+        Tally {
+            program,
+            limits,
+            stats: ExplorationStats::new(technique),
+            started,
+            // A budget too large to represent as an instant can never fire,
+            // so it degrades to unbounded.
+            deadline: limits.time_budget.and_then(|b| started.checked_add(b)),
+            counters,
+            live,
+            digests: None,
+        }
+    }
+
+    fn hits(&self) -> u64 {
+        match &self.counters {
+            Counters::Off => 0,
+            Counters::Local(c) => c.hits(),
+            Counters::Mirror(m) => m.hits(),
+        }
+    }
+
+    fn bytes(&self) -> u64 {
+        match &self.counters {
+            Counters::Off => 0,
+            Counters::Local(c) => c.bytes(),
+            Counters::Mirror(m) => m.bytes(),
+        }
+    }
+
+    fn is_full(&self) -> bool {
+        match &self.counters {
+            Counters::Off => false,
+            Counters::Local(c) => c.is_full(),
+            Counters::Mirror(m) => m.is_full(),
+        }
+    }
+
+    /// Drive `search` until it is exhausted, the budget fills or the
+    /// deadline fires, recording the non-redundant schedules `counts`
+    /// accepts.
+    fn drive(&mut self, search: &mut impl Search, counts: impl Fn(&ScheduleRun) -> bool) {
+        while self.stats.schedules < self.limits.schedule_limit && search.begin() {
+            if deadline_fired(self.deadline) {
+                // Cooperative wall-clock stop: report the partial results and
+                // say so. The begun schedule is discarded with the search,
+                // just like the exhausted-at-limit probe's.
+                self.stats.deadline_exceeded = true;
+                break;
+            }
+            crate::fault::schedule_boundary(&self.program.name);
+            let visit = self.complete(search);
+            if visit.redundant {
+                // A sleep-blocked completion: every state it visited is
+                // covered by another explored schedule.
+                continue;
+            }
+            if counts(&visit.run) {
+                self.record(&visit.run);
+            }
+            self.limits.telemetry.progress(|| Event::Progress {
+                program: self.program.name.clone(),
+                technique: self.stats.technique.clone(),
+                schedules: self.stats.schedules,
+                executions: self.stats.executions,
+                cache_hits: self.hits(),
+            });
+        }
+    }
+
+    /// Complete the begun schedule and charge its execution: what the mirror
+    /// says when there is one (the live trie is shared, so what it did is
+    /// not deterministic), whether the search executed it otherwise.
+    fn complete(&mut self, search: &mut impl Search) -> Visit {
+        let want_trace = matches!(self.counters, Counters::Mirror(_));
+        let cache = match (&mut self.counters, self.live) {
+            (Counters::Local(c), _) => CacheHandle::Local(c),
+            (_, Some(live)) => CacheHandle::Shared(live),
+            _ => CacheHandle::Off,
+        };
+        let visit = search.complete(cache, want_trace);
+        let executed = match &mut self.counters {
+            Counters::Mirror(m) => {
+                let t = visit
+                    .trace
+                    .as_ref()
+                    .expect("mirrored drivers request traces");
+                !m.apply(&t.schedule, &t.enabled_counts)
+            }
+            _ => visit.executed,
+        };
+        if executed {
+            self.stats.executions += 1;
+        }
+        visit
+    }
+
+    fn record(&mut self, run: &ScheduleRun) {
+        let prev = self.stats.schedules_to_first_bug;
+        match run {
+            ScheduleRun::Executed(outcome) => self.stats.record(outcome),
+            ScheduleRun::Served(digest) => digest.record_into(&mut self.stats),
+        }
+        if let Some(out) = self.digests.as_deref_mut() {
+            out.push(run.digest());
+        }
+        if prev.is_none() {
+            if let Some(schedule) = self.stats.schedules_to_first_bug {
+                self.limits.telemetry.emit(|| Event::BugFound {
+                    program: self.program.name.clone(),
+                    technique: self.stats.technique.clone(),
+                    bug: self
+                        .stats
+                        .first_bug
+                        .as_ref()
+                        .map(|b| b.to_string())
+                        .unwrap_or_default(),
+                    schedule,
+                });
+            }
+        }
+    }
+
+    /// Whether a single-level search that [`Tally::drive`] has finished is
+    /// complete.
+    ///
+    /// When the budget filled on the very last schedule, the loop never made
+    /// the `begin` call from which a systematic search learns it is empty.
+    /// Probe: if nothing was left, the search is complete, not truncated. A
+    /// probe that *does* find more work prepares a schedule that is never
+    /// run, which is harmless — the search is dropped with the driver. Under
+    /// sleep-set reduction the remaining work may consist solely of
+    /// *redundant* completions, which would never have counted either; a
+    /// search is only truncated when a countable schedule remains, so drain
+    /// redundant runs before concluding — but never more than the schedule
+    /// limit again, so the post-limit cost stays bounded (an unresolved
+    /// drain conservatively reports truncation). A drained schedule the
+    /// cache knows is served, not re-executed.
+    fn probe(&mut self, search: &mut impl Search) -> bool {
+        let limit = self.limits.schedule_limit;
+        if search.is_exhaustive() || self.stats.schedules < limit || !search.can_exhaust() {
+            return search.is_exhaustive();
+        }
+        let mut drain_budget = limit;
+        loop {
+            if !search.begin() {
+                return search.is_exhaustive();
+            }
+            if !self.limits.por || drain_budget == 0 {
+                return false;
+            }
+            drain_budget -= 1;
+            if !self.complete(search).redundant {
+                return false;
+            }
+        }
+    }
+
+    /// Drive a single-level search to its end and report it.
+    fn explore(mut self, search: &mut impl Search) -> ExplorationStats {
+        self.drive(search, |_| true);
+        let complete = self.probe(search);
+        self.stats.complete = complete;
+        // Only flag the limit when the search was not exhaustive: a search
+        // that covers its whole space at exactly the limit is complete, not
+        // cut short, and reporting both would make the table rows ambiguous.
+        self.stats.hit_schedule_limit =
+            self.stats.schedules >= self.limits.schedule_limit && !complete;
+        (self.stats.slept, self.stats.pruned_by_sleep) = search.sleep_counters();
+        self.finish()
+    }
+
+    fn finish(mut self) -> ExplorationStats {
+        self.stats.cache_hits = self.hits();
+        self.stats.cache_bytes = self.bytes();
+        self.stats.explore_nanos = self.started.elapsed().as_nanos() as u64;
+        self.stats
+    }
+}
+
 /// Run `scheduler` against `program` until it stops or the schedule limit is
 /// reached.
 pub fn explore_with(
@@ -242,84 +557,47 @@ pub fn explore_with(
     scheduler: &mut dyn Scheduler,
     limits: &ExploreLimits,
 ) -> ExplorationStats {
-    let started = Instant::now();
-    let mut stats = ExplorationStats::new(scheduler.name());
+    let tally = Tally::new(program, limits, scheduler.name(), Counters::Off, None);
     // One execution for the whole exploration: `reset` rewinds it in place,
     // so the hot loop performs no per-schedule allocation or config clone.
     let mut exec = Execution::new_shared(program, config);
-    let deadline = deadline_from(started, limits);
-    while stats.schedules < limits.schedule_limit && scheduler.begin_execution() {
-        if deadline_fired(deadline) {
-            // Cooperative wall-clock stop: report the partial results and say
-            // so. The probed execution is discarded with the scheduler, just
-            // like the exhausted-at-limit probe below.
-            stats.deadline_exceeded = true;
-            break;
-        }
-        crate::fault::schedule_boundary(&program.name);
-        exec.reset();
-        let outcome = exec.run(&mut |p| scheduler.choose(p), &mut NoopObserver);
-        scheduler.end_execution(&outcome);
-        stats.executions += 1;
-        if scheduler.current_execution_redundant() {
-            // A sleep-blocked completion: every state it visited is covered
-            // by another explored schedule, so it is not a new schedule.
-            continue;
-        }
-        let prev = stats.schedules_to_first_bug;
-        stats.record(&outcome);
-        note_first_bug(prev, &stats, &limits.telemetry, &program.name);
-        limits.telemetry.progress(|| Event::Progress {
-            program: program.name.clone(),
-            technique: stats.technique.clone(),
-            schedules: stats.schedules,
-            executions: stats.executions,
-            cache_hits: 0,
+    tally.explore(&mut Driven {
+        exec: &mut exec,
+        scheduler,
+    })
+}
+
+/// Depth-first search bounded by `bound`, optionally collecting the terminal
+/// digest of every counted schedule in visit order. With
+/// [`ExploreLimits::steal_workers`] above one and stealing sound for the
+/// bound and POR combination, the search runs on the work-stealing engine;
+/// the results are bit-identical either way. In campaign mode the search
+/// walks and grows the shared corpus trie and reports cache counters through
+/// a mirror seeded from its load-time baseline.
+pub(crate) fn explore_dfs(
+    program: &Program,
+    config: &ExecConfig,
+    kind: BoundKind,
+    bound: u32,
+    limits: &ExploreLimits,
+    digests: Option<&mut Vec<TerminalDigest>>,
+) -> ExplorationStats {
+    let mut dfs = BoundedDfs::new(kind.policy(), bound).with_sleep_sets(limits.por);
+    let corpus = limits.shared_cache.as_deref();
+    let counters = corpus.map_or(Counters::Off, |c| Counters::Mirror(c.mirror()));
+    let live = corpus.map(SharedCache::live);
+    let mut tally = Tally::new(program, limits, dfs.name(), counters, live);
+    tally.digests = digests;
+    if limits.steal_workers > 1 && crate::steal::stealing_sound(kind, limits.por) {
+        return crate::steal::run_level_stealing(program, config, kind, bound, limits, live, |s| {
+            tally.explore(s)
         });
     }
-    let mut complete = scheduler.is_exhaustive();
-    if !complete && stats.schedules >= limits.schedule_limit && scheduler.can_exhaust() {
-        // The budget filled on the very last schedule, so the loop never made
-        // the `begin_execution` call from which a systematic scheduler learns
-        // its stack is empty. Probe: if nothing was left to explore the
-        // search is complete, not truncated. A probe that *does* find more
-        // work prepares an execution that is never run, which is harmless —
-        // the scheduler is dropped when this function returns. Under
-        // sleep-set reduction the remaining work may consist solely of
-        // *redundant* completions, which would never have counted either; a
-        // search is only genuinely truncated when a countable schedule
-        // remains, so drain redundant runs before concluding — but never
-        // more than the schedule limit again, so the post-limit cost stays
-        // bounded (an unresolved drain conservatively reports truncation).
-        let mut drain_budget = limits.schedule_limit;
-        loop {
-            if !scheduler.begin_execution() {
-                complete = scheduler.is_exhaustive();
-                break;
-            }
-            if !limits.por || drain_budget == 0 {
-                break;
-            }
-            drain_budget -= 1;
-            exec.reset();
-            let outcome = exec.run(&mut |p| scheduler.choose(p), &mut NoopObserver);
-            scheduler.end_execution(&outcome);
-            stats.executions += 1;
-            if !scheduler.current_execution_redundant() {
-                break;
-            }
-        }
-    }
-    stats.complete = complete;
-    // Only flag the limit when the scheduler was not exhaustive: a search
-    // that covers its whole space at exactly the limit is complete, not cut
-    // short, and reporting both would make the table rows ambiguous.
-    stats.hit_schedule_limit = stats.schedules >= limits.schedule_limit && !stats.complete;
-    let (slept, pruned_by_sleep) = scheduler.sleep_counters();
-    stats.slept = slept;
-    stats.pruned_by_sleep = pruned_by_sleep;
-    stats.explore_nanos = started.elapsed().as_nanos() as u64;
-    stats
+    let mut exec = Execution::new_shared(program, config);
+    tally.explore(&mut Bounded {
+        exec: &mut exec,
+        dfs: &mut dfs,
+    })
 }
 
 /// Depth-first search bounded by `bound` under the given bound kind. The
@@ -331,15 +609,7 @@ pub fn bounded_dfs(
     bound: u32,
     limits: &ExploreLimits,
 ) -> ExplorationStats {
-    let mut stats = if limits.steal_workers > 1 {
-        crate::steal::explore_bounded_stealing(program, config, kind, bound, limits)
-    } else if let Some(corpus) = limits.shared_cache.clone() {
-        let mut scheduler = BoundedDfs::new(kind.policy(), bound).with_sleep_sets(limits.por);
-        explore_dfs_corpus(program, config, &mut scheduler, limits, &corpus, None)
-    } else {
-        let mut scheduler = BoundedDfs::new(kind.policy(), bound).with_sleep_sets(limits.por);
-        explore_with(program, config, &mut scheduler, limits)
-    };
+    let mut stats = explore_dfs(program, config, kind, bound, limits, None);
     stats.final_bound = Some(bound);
     if stats.found_bug() {
         stats.bound_of_first_bug = Some(bound);
@@ -347,108 +617,25 @@ pub fn bounded_dfs(
     stats
 }
 
-/// [`explore_with`] in campaign mode: drive one bounded DFS through
-/// [`cache::run_begun_schedule`] against the shared corpus cache, reporting
-/// execution/hit/byte counters through a [`cache::CacheReplay`] mirror
-/// seeded from the load-time baseline (so they are a deterministic function
-/// of the baseline and this driver's own visit stream, independent of what
-/// concurrent techniques do to the live trie).
-///
-/// The exhausted-exactly-at-limit probe and the POR redundant-run drain
-/// replicate [`explore_with`] — but route through the cache, so a drained
-/// schedule the corpus already knows is *served*, not re-executed (the probe
-/// itself never runs the program, in either driver). `digests`, when given,
-/// receives the terminal digest of every counted schedule in visit order.
-pub(crate) fn explore_dfs_corpus(
-    program: &Program,
-    config: &ExecConfig,
-    scheduler: &mut BoundedDfs,
-    limits: &ExploreLimits,
-    corpus: &SharedCache,
-    mut digests: Option<&mut Vec<cache::TerminalDigest>>,
-) -> ExplorationStats {
-    let started = Instant::now();
-    let mut stats = ExplorationStats::new(scheduler.name());
-    let mut exec = Execution::new_shared(program, config);
-    let mut mirror = corpus.mirror();
-    let charge = |mirror: &mut cache::CacheReplay,
-                  stats: &mut ExplorationStats,
-                  trace: Option<cache::VisitTrace>| {
-        let trace = trace.expect("corpus mode requests traces");
-        if !mirror.apply(&trace.schedule, &trace.enabled_counts) {
-            stats.executions += 1;
-        }
-    };
-    let deadline = deadline_from(started, limits);
-    while stats.schedules < limits.schedule_limit && scheduler.begin_execution() {
-        if deadline_fired(deadline) {
-            stats.deadline_exceeded = true;
-            break;
-        }
-        crate::fault::schedule_boundary(&program.name);
-        let (run, trace) = cache::run_begun_schedule(
-            &mut exec,
-            scheduler,
-            CacheHandle::Shared(corpus.live()),
-            true,
-        );
-        charge(&mut mirror, &mut stats, trace);
-        if scheduler.current_execution_redundant() {
-            continue;
-        }
-        if let Some(out) = digests.as_deref_mut() {
-            out.push(run.digest());
-        }
-        let prev = stats.schedules_to_first_bug;
-        match &run {
-            ScheduleRun::Executed(outcome) => stats.record(outcome),
-            ScheduleRun::Served(digest) => digest.record_into(&mut stats),
-        }
-        note_first_bug(prev, &stats, &limits.telemetry, &program.name);
-        limits.telemetry.progress(|| Event::Progress {
-            program: program.name.clone(),
-            technique: stats.technique.clone(),
-            schedules: stats.schedules,
-            executions: stats.executions,
-            cache_hits: mirror.hits(),
-        });
-    }
-    let mut complete = scheduler.is_exhaustive();
-    if !complete && stats.schedules >= limits.schedule_limit && scheduler.can_exhaust() {
-        // Same one-shot probe + redundant-run drain as `explore_with`; see
-        // the commentary there. The drain completes schedules through the
-        // cache, so re-covered interior is served rather than re-executed.
-        let mut drain_budget = limits.schedule_limit;
-        loop {
-            if !scheduler.begin_execution() {
-                complete = scheduler.is_exhaustive();
-                break;
-            }
-            if !limits.por || drain_budget == 0 {
-                break;
-            }
-            drain_budget -= 1;
-            let (_, trace) = cache::run_begun_schedule(
-                &mut exec,
-                scheduler,
-                CacheHandle::Shared(corpus.live()),
-                true,
-            );
-            charge(&mut mirror, &mut stats, trace);
-            if !scheduler.current_execution_redundant() {
-                break;
-            }
-        }
-    }
-    stats.complete = complete;
-    stats.hit_schedule_limit = stats.schedules >= limits.schedule_limit && !stats.complete;
-    let (slept, pruned_by_sleep) = scheduler.sleep_counters();
-    stats.slept = slept;
-    stats.pruned_by_sleep = pruned_by_sleep;
-    stats.cache_hits = mirror.hits();
-    stats.cache_bytes = mirror.bytes();
-    stats.explore_nanos = started.elapsed().as_nanos() as u64;
-    stats
+/// Run one bound level of iterative bounding, counting only the schedules
+/// new at `bound`; returns whether the level finished and whether its bound
+/// pruned anything.
+fn run_level(
+    tally: &mut Tally<'_>,
+    search: &mut impl Search,
+    kind: BoundKind,
+    bound: u32,
+) -> (bool, bool) {
+    // Iteration `bound` only *counts* schedules whose cost is exactly
+    // `bound`: schedules with a smaller cost were already explored in an
+    // earlier iteration (the bounded DFS still has to traverse them to reach
+    // the new ones, but they are neither re-counted nor re-checked, matching
+    // §2's description of iterative bounding).
+    tally.drive(search, |run| bound == 0 || run.cost(kind) == bound);
+    let (slept, pruned_by_sleep) = search.sleep_counters();
+    tally.stats.slept += slept;
+    tally.stats.pruned_by_sleep += pruned_by_sleep;
+    (search.is_exhaustive(), search.was_pruned())
 }
 
 /// Iterative schedule bounding (§2, "Iterative schedule bounding"): explore
@@ -465,7 +652,10 @@ pub(crate) fn explore_dfs_corpus(
 /// matching the "# new schedules" column of Table 3. With `limits.cache` the
 /// re-visited interior is served from a decision-prefix memo instead of
 /// being re-executed (see [`crate::cache`]); the statistics are identical
-/// either way, except that `executions` shrinks by `cache_hits`.
+/// either way, except that `executions` shrinks by `cache_hits`. With
+/// [`ExploreLimits::steal_workers`] above one, each level is split across
+/// the work-stealing engine when that is sound, again with identical
+/// statistics.
 pub fn iterative_bounding(
     program: &Program,
     config: &ExecConfig,
@@ -477,119 +667,66 @@ pub fn iterative_bounding(
         BoundKind::Delay => "IDB",
         BoundKind::None => "DFS",
     };
-    let started = Instant::now();
-    let mut agg = ExplorationStats::new(label);
+    let stealing = limits.steal_workers > 1 && crate::steal::stealing_sound(kind, limits.por);
+    let corpus = limits.shared_cache.as_deref();
+    // Stolen levels share one private trie between their workers, so — like
+    // campaign mode — they report its counters through a mirror.
+    let stolen_cache = (stealing && corpus.is_none() && limits.cache)
+        .then(|| RwLock::new(ScheduleCache::new(limits.cache_max_bytes)));
+    let (counters, live) = match (corpus, &stolen_cache) {
+        (Some(c), _) => (Counters::Mirror(c.mirror()), Some(c.live())),
+        (None, Some(lock)) => (
+            Counters::Mirror(CacheReplay::new(limits.cache_max_bytes)),
+            Some(lock),
+        ),
+        (None, None) if limits.cache => (
+            Counters::Local(ScheduleCache::new(limits.cache_max_bytes)),
+            None,
+        ),
+        (None, None) => (Counters::Off, None),
+    };
+    let mut tally = Tally::new(program, limits, label.to_string(), counters, live);
     let mut exec = Execution::new_shared(program, config);
-    let corpus = limits.shared_cache.clone();
-    let mut mirror = corpus.as_ref().map(|c| c.mirror());
-    let mut cache =
-        (corpus.is_none() && limits.cache).then(|| ScheduleCache::new(limits.cache_max_bytes));
     let mut stopped = false;
     let mut degradation_reported = false;
-    let deadline = deadline_from(started, limits);
     for bound in 0..=limits.max_bound {
-        let mut scheduler = BoundedDfs::new(kind.policy(), bound).with_sleep_sets(limits.por);
-        let mut new_at_bound = 0u64;
-        let level_hits_base = match (&mirror, &cache) {
-            (Some(m), _) => m.hits(),
-            (None, Some(c)) => c.hits(),
-            (None, None) => 0,
-        };
-        let level_base = (agg.schedules, agg.executions);
-        while agg.schedules < limits.schedule_limit && scheduler.begin_execution() {
-            if deadline_fired(deadline) {
-                agg.deadline_exceeded = true;
-                break;
-            }
-            crate::fault::schedule_boundary(&program.name);
-            let handle = match (corpus.as_deref(), cache.as_mut()) {
-                (Some(shared), _) => CacheHandle::Shared(shared.live()),
-                (None, Some(c)) => CacheHandle::Local(c),
-                (None, None) => CacheHandle::Off,
+        let level_base = (tally.stats.schedules, tally.stats.executions, tally.hits());
+        let (finished_bound, pruned) = if stealing {
+            crate::steal::run_level_stealing(program, config, kind, bound, limits, live, |s| {
+                run_level(&mut tally, s, kind, bound)
+            })
+        } else {
+            let mut dfs = BoundedDfs::new(kind.policy(), bound).with_sleep_sets(limits.por);
+            let mut search = Bounded {
+                exec: &mut exec,
+                dfs: &mut dfs,
             };
-            let (run, trace) =
-                cache::run_begun_schedule(&mut exec, &mut scheduler, handle, mirror.is_some());
-            match mirror.as_mut() {
-                // Campaign mode: executions/hits are what the mirror — the
-                // baseline plus this driver's own visit stream — says, not
-                // what the (shared, concurrently mutated) live trie did.
-                Some(m) => {
-                    let t = trace.expect("corpus mode requests traces");
-                    if !m.apply(&t.schedule, &t.enabled_counts) {
-                        agg.executions += 1;
-                    }
-                }
-                None => {
-                    if matches!(run, ScheduleRun::Executed(_)) {
-                        agg.executions += 1;
-                    }
-                }
-            }
-            if scheduler.current_execution_redundant() {
-                continue;
-            }
-            let cost = run.cost(kind);
-            // Iteration `bound` only *counts* schedules whose cost is exactly
-            // `bound`: schedules with a smaller cost were already explored in
-            // an earlier iteration (the bounded DFS still has to traverse
-            // them to reach the new ones, but they are neither re-counted nor
-            // re-checked, matching §2's description of iterative bounding).
-            if cost == bound || bound == 0 {
-                new_at_bound += 1;
-                let prev = agg.schedules_to_first_bug;
-                match &run {
-                    ScheduleRun::Executed(outcome) => agg.record(outcome),
-                    ScheduleRun::Served(digest) => digest.record_into(&mut agg),
-                }
-                note_first_bug(prev, &agg, &limits.telemetry, &program.name);
-            }
-            limits.telemetry.progress(|| Event::Progress {
-                program: program.name.clone(),
-                technique: label.to_string(),
-                schedules: agg.schedules,
-                executions: agg.executions,
-                cache_hits: match (&mirror, &cache) {
-                    (Some(m), _) => m.hits(),
-                    (None, Some(c)) => c.hits(),
-                    (None, None) => 0,
-                },
-            });
-        }
-        let (slept, pruned_by_sleep) = scheduler.sleep_counters();
-        agg.slept += slept;
-        agg.pruned_by_sleep += pruned_by_sleep;
-        agg.final_bound = Some(bound);
-        agg.new_schedules_at_final_bound = new_at_bound;
-        let level_hits = match (&mirror, &cache) {
-            (Some(m), _) => m.hits(),
-            (None, Some(c)) => c.hits(),
-            (None, None) => 0,
+            run_level(&mut tally, &mut search, kind, bound)
         };
+        // Only schedules new at this bound are recorded, so the level's
+        // schedule count is its "# new schedules".
+        let new_at_bound = tally.stats.schedules - level_base.0;
+        tally.stats.final_bound = Some(bound);
+        tally.stats.new_schedules_at_final_bound = new_at_bound;
         limits.telemetry.emit(|| Event::BoundLevel {
             program: program.name.clone(),
             technique: label.to_string(),
             bound: bound as u64,
-            schedules: agg.schedules - level_base.0,
-            executions: agg.executions - level_base.1,
-            cache_hits: level_hits - level_hits_base,
+            schedules: new_at_bound,
+            executions: tally.stats.executions - level_base.1,
+            cache_hits: tally.hits() - level_base.2,
             new_at_bound,
         });
-        if !degradation_reported && limits.telemetry.is_on() {
-            let (full, bytes) = match (&mirror, &cache) {
-                (Some(m), _) => (m.is_full(), m.bytes()),
-                (None, Some(c)) => (c.is_full(), c.bytes()),
-                (None, None) => (false, 0),
-            };
-            if full {
-                degradation_reported = true;
-                limits.telemetry.emit(|| Event::CacheDegraded {
-                    program: program.name.clone(),
-                    technique: label.to_string(),
-                    bytes,
-                    max_bytes: limits.cache_max_bytes,
-                });
-            }
+        if !degradation_reported && limits.telemetry.is_on() && tally.is_full() {
+            degradation_reported = true;
+            limits.telemetry.emit(|| Event::CacheDegraded {
+                program: program.name.clone(),
+                technique: label.to_string(),
+                bytes: tally.bytes(),
+                max_bytes: limits.cache_max_bytes,
+            });
         }
+        let agg = &mut tally.stats;
         if agg.found_bug() && agg.bound_of_first_bug.is_none() {
             agg.bound_of_first_bug = Some(bound);
         }
@@ -600,7 +737,6 @@ pub fn iterative_bounding(
             stopped = true;
             break;
         }
-        let finished_bound = scheduler.is_complete();
         if agg.schedules >= limits.schedule_limit && !finished_bound {
             agg.hit_schedule_limit = true;
             stopped = true;
@@ -612,7 +748,7 @@ pub fn iterative_bounding(
             stopped = true;
             break;
         }
-        if finished_bound && !scheduler.was_pruned() {
+        if finished_bound && !pruned {
             // Nothing was pruned: every terminal schedule has been explored.
             agg.complete = true;
             stopped = true;
@@ -627,16 +763,8 @@ pub fn iterative_bounding(
     // Falling out of the bound loop means every level up to `max_bound` ran
     // without a bug, without covering the space and without exhausting the
     // budget: the search gave up on bounds, not on schedules.
-    agg.bound_exhausted = !stopped;
-    if let Some(m) = &mirror {
-        agg.cache_hits = m.hits();
-        agg.cache_bytes = m.bytes();
-    } else if let Some(c) = &cache {
-        agg.cache_hits = c.hits();
-        agg.cache_bytes = c.bytes();
-    }
-    agg.explore_nanos = started.elapsed().as_nanos() as u64;
-    agg
+    tally.stats.bound_exhausted = !stopped;
+    tally.finish()
 }
 
 /// Run one of the study's techniques with its standard configuration.
@@ -648,48 +776,12 @@ pub fn run_technique(
 ) -> ExplorationStats {
     let started = Instant::now();
     let mut stats = match technique {
-        Technique::Dfs => {
-            if limits.steal_workers > 1 {
-                crate::steal::explore_bounded_stealing(
-                    program,
-                    config,
-                    BoundKind::None,
-                    u32::MAX,
-                    limits,
-                )
-            } else if let Some(corpus) = limits.shared_cache.clone() {
-                let mut scheduler = BoundedDfs::unbounded().with_sleep_sets(limits.por);
-                explore_dfs_corpus(program, config, &mut scheduler, limits, &corpus, None)
-            } else {
-                let mut scheduler = BoundedDfs::unbounded().with_sleep_sets(limits.por);
-                explore_with(program, config, &mut scheduler, limits)
-            }
-        }
+        Technique::Dfs => explore_dfs(program, config, BoundKind::None, u32::MAX, limits, None),
         Technique::IterativePreemptionBounding => {
-            if limits.steal_workers > 1 {
-                crate::parallel::parallel_iterative_bounding(
-                    program,
-                    config,
-                    BoundKind::Preemption,
-                    limits,
-                    1,
-                )
-            } else {
-                iterative_bounding(program, config, BoundKind::Preemption, limits)
-            }
+            iterative_bounding(program, config, BoundKind::Preemption, limits)
         }
         Technique::IterativeDelayBounding => {
-            if limits.steal_workers > 1 {
-                crate::parallel::parallel_iterative_bounding(
-                    program,
-                    config,
-                    BoundKind::Delay,
-                    limits,
-                    1,
-                )
-            } else {
-                iterative_bounding(program, config, BoundKind::Delay, limits)
-            }
+            iterative_bounding(program, config, BoundKind::Delay, limits)
         }
         Technique::Random { seed } => {
             let mut scheduler = RandomScheduler::new(limits.schedule_limit, seed);
@@ -1002,8 +1094,7 @@ mod tests {
     #[test]
     fn non_exhaustible_schedulers_are_never_probed_at_the_limit() {
         // Rand/PCT/MapleAlg can never prove their space covered, so probing
-        // them at the limit would only burn (and then discard) executions —
-        // and make the execution count depend on how a budget was sharded.
+        // them at the limit would only burn (and then discard) executions.
         // Their executions must remain an exact function of the schedules
         // they ran, POR flag or not.
         for por in [false, true] {

@@ -74,10 +74,7 @@ pub use dfs::{BoundedDfs, SubtreeSeed};
 pub use explore::{explore_with, iterative_bounding, ExploreLimits, Technique};
 pub use fault::{FaultGuard, FaultKind};
 pub use maple::MapleLikeScheduler;
-pub use parallel::{
-    default_workers, explore_sharded, explore_sharded_serial, map_indexed,
-    parallel_iterative_bounding, run_technique_parallel,
-};
+pub use parallel::{default_workers, map_indexed};
 pub use pct::PctScheduler;
 pub use random::RandomScheduler;
 pub use scheduler::Scheduler;
@@ -96,10 +93,7 @@ pub mod prelude {
     pub use crate::explore::{self, explore_with, iterative_bounding, ExploreLimits, Technique};
     pub use crate::fault::{self, FaultGuard, FaultKind};
     pub use crate::maple::MapleLikeScheduler;
-    pub use crate::parallel::{
-        self, default_workers, explore_sharded, explore_sharded_serial, map_indexed,
-        parallel_iterative_bounding, run_technique_parallel,
-    };
+    pub use crate::parallel::{self, default_workers, map_indexed};
     pub use crate::pct::PctScheduler;
     pub use crate::random::RandomScheduler;
     pub use crate::scheduler::Scheduler;

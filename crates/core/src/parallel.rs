@@ -1,86 +1,22 @@
-//! Work-sharded parallel exploration.
+//! The `--workers` fan-out helpers.
 //!
-//! The study's workload — up to 10,000 terminal schedules per technique per
-//! benchmark — is embarrassingly parallel, but naively splitting it across
-//! threads would make results depend on which worker finishes first. This
-//! module keeps every aggregate **deterministic**:
-//!
-//! * **Randomised techniques** (Rand, PCT, MapleLike) shard their schedule
-//!   budget over N workers with seeds *derived* from the base seed
-//!   ([`derive_seed`]); the per-shard statistics are folded in shard order
-//!   with [`ExplorationStats::merge`], so the parallel aggregate equals the
-//!   serial run of the same shard plan ([`explore_sharded_serial`]) no matter
-//!   how the workers are scheduled. With one worker the plan degenerates to
-//!   the classic serial exploration (`derive_seed(seed, 0) == seed`).
-//! * **Iterative bounding** (IPB/IDB) runs bound levels as parallel tasks.
-//!   Each task records a per-schedule digest of the schedules *new* at its
-//!   bound; the main thread folds the digests in bound order, re-applying the
-//!   serial driver's budget-truncation and stopping rules exactly, so the
-//!   result is schedule-for-schedule identical to
-//!   [`explore::iterative_bounding`]. Bounds beyond the serial stopping point
-//!   are cancelled through a stop flag (their speculative work is discarded).
-//!   With the schedule cache on, level workers share one
-//!   [`ScheduleCache`] opportunistically (a pure memo of the deterministic
-//!   program, so sharing can only skip executions, never change a result)
-//!   while each level also ships visit-order records; the fold replays them
-//!   through a [`CacheReplay`] mirror in bound order, so the reported
-//!   `executions` / `cache_hits` / `cache_bytes` counters are the serial
-//!   driver's values bit for bit.
-//! * **DFS** is a single backtracking search over one schedule tree and runs
-//!   serially; study-level parallelism for DFS comes from fanning out
-//!   benchmarks × techniques in the harness instead.
+//! The harness runs a study's benchmark × technique units on a pool of
+//! workers; each unit is an independent, deterministic exploration, and
+//! results come back in index order, so the study output is identical at any
+//! worker count. This is one of the repository's two parallel mechanisms;
+//! the other splits one systematic search across work-stealing threads (see
+//! [`crate::steal`]).
 
-use crate::bounds::BoundKind;
-use crate::cache::{self, CacheHandle, CacheReplay, ScheduleCache, ScheduleRun, SharedCache};
-use crate::dfs::BoundedDfs;
-use crate::explore::{self, ExploreLimits, Technique};
-use crate::scheduler::Scheduler;
-use crate::stats::ExplorationStats;
-use crate::telemetry::Event;
-use sct_ir::Program;
-use sct_runtime::{Bug, ExecConfig, Execution, ThreadId};
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::RwLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::thread;
-use std::time::Instant;
 
 /// Number of workers to use when the caller does not specify one.
 pub fn default_workers() -> usize {
     thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Deterministically derive the RNG seed of shard `index` from `base`.
-///
-/// Shard 0 keeps the base seed, so a one-worker shard plan reproduces the
-/// classic serial exploration bit for bit; later shards get SplitMix64-mixed
-/// seeds, which keeps their streams statistically independent of each other
-/// for any base seed (including adjacent ones).
-pub fn derive_seed(base: u64, index: u64) -> u64 {
-    if index == 0 {
-        return base;
-    }
-    let mut z = base
-        .wrapping_add(index.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Split `schedule_limit` into per-shard budgets for `workers` workers:
-/// as even as possible, earlier shards take the remainder, zero-budget
-/// shards are dropped. The budgets always sum to `schedule_limit`.
-pub fn shard_budgets(schedule_limit: u64, workers: usize) -> Vec<u64> {
-    let shards = (workers.max(1) as u64).min(schedule_limit.max(1));
-    let base = schedule_limit / shards;
-    let rem = schedule_limit % shards;
-    (0..shards)
-        .map(|i| base + u64::from(i < rem))
-        .filter(|&b| b > 0)
-        .collect()
 }
 
 /// Evaluate `f(0..n)` on up to `workers` threads and return the results in
@@ -96,9 +32,8 @@ where
     if workers <= 1 {
         return (0..n).map(f).collect();
     }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<T>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
@@ -119,900 +54,4 @@ where
                 .expect("worker pool left a slot unfilled")
         })
         .collect()
-}
-
-/// The technique shard `index` runs: same algorithm, derived seed.
-fn shard_technique(technique: Technique, index: u64) -> Technique {
-    match technique {
-        Technique::Random { seed } => Technique::Random {
-            seed: derive_seed(seed, index),
-        },
-        Technique::Pct { depth, seed } => Technique::Pct {
-            depth,
-            seed: derive_seed(seed, index),
-        },
-        Technique::MapleLike {
-            profiling_runs,
-            seed,
-        } => Technique::MapleLike {
-            profiling_runs,
-            seed: derive_seed(seed, index),
-        },
-        systematic => systematic,
-    }
-}
-
-fn fold_shards(mut shards: Vec<ExplorationStats>) -> ExplorationStats {
-    let mut agg = shards.remove(0);
-    for shard in &shards {
-        agg.merge(shard);
-    }
-    agg
-}
-
-/// Explore a randomised technique with its schedule budget sharded over
-/// `workers` parallel workers. The aggregate is deterministic for a fixed
-/// `(seed, workers, schedule_limit)` triple — identical to
-/// [`explore_sharded_serial`] with the same arguments — because shards fold
-/// in plan order, not completion order. Note that `schedules_to_first_bug`
-/// is the *minimum shard-local* index, the natural analogue of "schedules
-/// until some worker reports the bug".
-///
-/// Systematic techniques are delegated: DFS to the serial driver, IPB/IDB to
-/// [`parallel_iterative_bounding`].
-pub fn explore_sharded(
-    program: &Program,
-    config: &ExecConfig,
-    technique: Technique,
-    limits: &ExploreLimits,
-    workers: usize,
-) -> ExplorationStats {
-    match technique {
-        Technique::Dfs
-        | Technique::IterativePreemptionBounding
-        | Technique::IterativeDelayBounding => {
-            return run_technique_parallel(program, config, technique, limits, workers)
-        }
-        _ => {}
-    }
-    let budgets = shard_budgets(limits.schedule_limit, workers);
-    if budgets.len() <= 1 {
-        return explore::run_technique(program, config, technique, limits);
-    }
-    let shard_stats: Vec<ExplorationStats> = thread::scope(|scope| {
-        let handles: Vec<_> = budgets
-            .iter()
-            .enumerate()
-            .map(|(i, &budget)| {
-                let technique = shard_technique(technique, i as u64);
-                let shard_limits = ExploreLimits {
-                    schedule_limit: budget,
-                    ..limits.clone()
-                };
-                scope.spawn(move || {
-                    explore::run_technique(program, config, technique, &shard_limits)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    });
-    fold_shards(shard_stats)
-}
-
-/// The serial reference for [`explore_sharded`]: the same shard plan run on
-/// one thread, folded in the same order. Used by the determinism tests and
-/// benchmarks; produces identical aggregates to the parallel version.
-pub fn explore_sharded_serial(
-    program: &Program,
-    config: &ExecConfig,
-    technique: Technique,
-    limits: &ExploreLimits,
-    workers: usize,
-) -> ExplorationStats {
-    match technique {
-        Technique::Dfs
-        | Technique::IterativePreemptionBounding
-        | Technique::IterativeDelayBounding => {
-            return explore::run_technique(program, config, technique, limits)
-        }
-        _ => {}
-    }
-    let budgets = shard_budgets(limits.schedule_limit, workers);
-    if budgets.len() <= 1 {
-        return explore::run_technique(program, config, technique, limits);
-    }
-    let shard_stats: Vec<ExplorationStats> = budgets
-        .iter()
-        .enumerate()
-        .map(|(i, &budget)| {
-            let technique = shard_technique(technique, i as u64);
-            let shard_limits = ExploreLimits {
-                schedule_limit: budget,
-                ..limits.clone()
-            };
-            explore::run_technique(program, config, technique, &shard_limits)
-        })
-        .collect();
-    fold_shards(shard_stats)
-}
-
-/// What [`ExplorationStats::record`] needs from one terminal schedule; the
-/// bound-level tasks ship these back so the fold can replay the serial
-/// driver's accounting exactly.
-struct ScheduleDigest {
-    buggy: bool,
-    diverged: bool,
-    threads_created: usize,
-    max_enabled: usize,
-    scheduling_points: usize,
-    /// Set only for buggy schedules (the fold clones it for the first bug).
-    bug: Option<Bug>,
-    /// Cumulative sleep-set counters of the level's scheduler *after* the
-    /// execution that produced this digest. When the budget truncates a
-    /// level mid-way, the serial driver stops right after the counted
-    /// schedule that filled it, so the fold charges the counters as of that
-    /// schedule rather than the level's final values.
-    slept: u64,
-    pruned_by_sleep: u64,
-    /// Cumulative count of real program executions this level's worker had
-    /// performed when the digest was taken (same snapshot discipline as the
-    /// sleep counters). Only meaningful without caching: under a shared
-    /// cache the worker's execution count depends on scheduling, so the fold
-    /// recomputes the serial value from the visit records instead.
-    executions: u64,
-}
-
-impl ScheduleDigest {
-    fn of_terminal(
-        d: &cache::TerminalDigest,
-        (slept, pruned_by_sleep): (u64, u64),
-        executions: u64,
-    ) -> Self {
-        let buggy = d.is_buggy();
-        ScheduleDigest {
-            buggy,
-            diverged: d.diverged,
-            threads_created: d.threads_created,
-            max_enabled: d.max_enabled,
-            scheduling_points: d.scheduling_points,
-            bug: if buggy { d.bug.clone() } else { None },
-            slept,
-            pruned_by_sleep,
-            executions,
-        }
-    }
-
-    fn of_run(run: &ScheduleRun, counters: (u64, u64), executions: u64) -> Self {
-        Self::of_terminal(&run.digest(), counters, executions)
-    }
-}
-
-/// One schedule visited by a bound level, in visit order: the decision path
-/// and per-step enabled counts the fold needs to replay the serial cache
-/// deterministically, plus the counted digest when the iteration rules count
-/// the schedule at this level. Only shipped when caching is on.
-struct VisitRecord {
-    schedule: Box<[ThreadId]>,
-    enabled_counts: Box<[u32]>,
-    counted: Option<ScheduleDigest>,
-}
-
-/// Feed a digest through the same accounting as the serial driver
-/// ([`ExplorationStats::record_parts`] backs both, so they cannot drift).
-fn record_digest(agg: &mut ExplorationStats, d: &ScheduleDigest) {
-    agg.record_parts(
-        d.buggy,
-        d.diverged,
-        d.threads_created,
-        d.max_enabled,
-        d.scheduling_points,
-        d.bug.as_ref(),
-    );
-}
-
-/// One bound level explored to completion (or its budget cap / the stop
-/// flag), with the digests of the schedules that are *new* at this bound —
-/// and, when caching is on, the visit records of *every* schedule the level
-/// walked, so the fold can replay the serial cache.
-struct BoundRun {
-    bound: u32,
-    digests: Vec<ScheduleDigest>,
-    /// Visit-order records of all completed schedules (counted digests
-    /// embedded), shipped only when the schedule cache is enabled.
-    visits: Option<Vec<VisitRecord>>,
-    /// Whether the bounded DFS exhausted the bound (never true when aborted).
-    complete: bool,
-    pruned: bool,
-    /// Final sleep-set counters of the level (used when the fold applies the
-    /// level in full; truncated folds use the per-digest snapshots).
-    slept: u64,
-    pruned_by_sleep: u64,
-    /// Real program executions the level performed (same caveat as
-    /// [`ScheduleDigest::executions`]: only meaningful without caching).
-    executions: u64,
-    /// Whether the caller's wall-clock deadline cut this level short; the
-    /// fold reports the explored prefix and stops.
-    deadline_exceeded: bool,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_bound(
-    program: &Program,
-    config: &ExecConfig,
-    kind: BoundKind,
-    bound: u32,
-    limits: &ExploreLimits,
-    stop: &AtomicBool,
-    shared_cache: Option<&RwLock<ScheduleCache>>,
-    deadline: Option<Instant>,
-) -> BoundRun {
-    if limits.steal_workers > 1 && !limits.por {
-        // Split the level's own frontier across the stealing workers; the
-        // stream comes back in serial visit order, so the conversion below is
-        // a straight repackaging (POR levels under a pruning bound stay
-        // serial — see the gate in [`crate::steal`]).
-        return run_bound_stealing(
-            program,
-            config,
-            kind,
-            bound,
-            limits,
-            stop,
-            shared_cache,
-            deadline,
-        );
-    }
-    let cap = limits.schedule_limit;
-    let mut scheduler = BoundedDfs::new(kind.policy(), bound).with_sleep_sets(limits.por);
-    let mut exec = Execution::new_shared(program, config);
-    let mut digests: Vec<ScheduleDigest> = Vec::new();
-    let mut visits: Option<Vec<VisitRecord>> = shared_cache.map(|_| Vec::new());
-    let mut counted = 0u64;
-    let mut executions = 0u64;
-    let mut aborted = false;
-    let mut deadline_exceeded = false;
-    while counted < cap && scheduler.begin_execution() {
-        if stop.load(Ordering::Relaxed) {
-            // A lower bound already satisfied the serial stopping rule; this
-            // speculative level will be discarded, so bail out cheaply.
-            aborted = true;
-            break;
-        }
-        if explore::deadline_fired(deadline) {
-            // The technique's wall-clock budget expired: ship the explored
-            // prefix; the fold reports it and stops after this level.
-            aborted = true;
-            deadline_exceeded = true;
-            break;
-        }
-        let handle = match shared_cache {
-            Some(mutex) => CacheHandle::Shared(mutex),
-            None => CacheHandle::Off,
-        };
-        let (run, trace) =
-            cache::run_begun_schedule(&mut exec, &mut scheduler, handle, visits.is_some());
-        if matches!(run, ScheduleRun::Executed(_)) {
-            executions += 1;
-        }
-        let counted_digest = if scheduler.current_execution_redundant() {
-            None
-        } else if run.cost(kind) == bound || bound == 0 {
-            counted += 1;
-            Some(ScheduleDigest::of_run(
-                &run,
-                scheduler.sleep_counters(),
-                executions,
-            ))
-        } else {
-            None
-        };
-        match (visits.as_mut(), counted_digest) {
-            (Some(records), counted_digest) => {
-                let trace = trace.expect("visit trace requested but not returned");
-                records.push(VisitRecord {
-                    schedule: trace.schedule.into_boxed_slice(),
-                    enabled_counts: trace.enabled_counts.into_boxed_slice(),
-                    counted: counted_digest,
-                });
-            }
-            (None, Some(digest)) => digests.push(digest),
-            (None, None) => {}
-        }
-    }
-    let (slept, pruned_by_sleep) = scheduler.sleep_counters();
-    BoundRun {
-        bound,
-        digests,
-        visits,
-        complete: scheduler.is_complete() && !aborted,
-        pruned: scheduler.was_pruned(),
-        slept,
-        pruned_by_sleep,
-        executions,
-        deadline_exceeded,
-    }
-}
-
-/// [`run_bound`] with the level's frontier split across the work-stealing
-/// engine: the stolen stream is already in serial visit order with serial
-/// counter snapshots, so it repackages one-to-one into the digests / visit
-/// records the fold consumes.
-#[allow(clippy::too_many_arguments)]
-fn run_bound_stealing(
-    program: &Program,
-    config: &ExecConfig,
-    kind: BoundKind,
-    bound: u32,
-    limits: &ExploreLimits,
-    stop: &AtomicBool,
-    shared_cache: Option<&RwLock<ScheduleCache>>,
-    deadline: Option<Instant>,
-) -> BoundRun {
-    let level = crate::steal::run_level_stealing(
-        program,
-        config,
-        kind,
-        bound,
-        limits,
-        stop,
-        shared_cache,
-        deadline,
-    );
-    let mut digests: Vec<ScheduleDigest> = Vec::new();
-    let mut visits: Option<Vec<VisitRecord>> = shared_cache.map(|_| Vec::new());
-    for item in level.items {
-        let counted_digest = item.counted.then(|| {
-            ScheduleDigest::of_terminal(
-                &item.digest,
-                (item.slept, item.pruned_by_sleep),
-                item.executions,
-            )
-        });
-        match (visits.as_mut(), counted_digest) {
-            (Some(records), counted_digest) => {
-                let trace = item.trace.expect("visit trace requested but not returned");
-                records.push(VisitRecord {
-                    schedule: trace.schedule.into_boxed_slice(),
-                    enabled_counts: trace.enabled_counts.into_boxed_slice(),
-                    counted: counted_digest,
-                });
-            }
-            (None, Some(digest)) => digests.push(digest),
-            (None, None) => {}
-        }
-    }
-    BoundRun {
-        bound,
-        digests,
-        visits,
-        complete: level.complete,
-        pruned: level.pruned,
-        slept: level.slept,
-        pruned_by_sleep: level.pruned_by_sleep,
-        executions: level.executions,
-        deadline_exceeded: level.deadline_exceeded,
-    }
-}
-
-/// Fold one bound level into the aggregate, replaying the serial driver's
-/// budget truncation and stopping rules. Returns `true` when exploration is
-/// finished (bug found / budget exhausted / space covered).
-///
-/// With caching (`replay` present, visit records shipped) the fold walks the
-/// level's visits in order through the [`CacheReplay`] mirror, reproducing
-/// the hit/insert/byte decisions — and therefore the `executions`,
-/// `cache_hits` and `cache_bytes` statistics — of the serial driver exactly,
-/// regardless of how the speculative level workers interleaved their use of
-/// the shared cache.
-fn fold_bound(
-    agg: &mut ExplorationStats,
-    run: &BoundRun,
-    limits: &ExploreLimits,
-    mut replay: Option<&mut CacheReplay>,
-    program: &str,
-) -> bool {
-    let mut new_at_bound = 0u64;
-    let mut truncated = false;
-    let mut level_slept = 0u64;
-    let mut level_pruned_by_sleep = 0u64;
-    let mut level_executions = 0u64;
-    // Telemetry bookkeeping: the fold runs on the calling thread in bound
-    // order, so per-level deltas and the first-bug transition are observed
-    // exactly as the serial driver would report them.
-    let fold_base = (
-        agg.schedules,
-        agg.executions,
-        replay.as_deref().map(CacheReplay::hits).unwrap_or(0),
-    );
-    let prev_first_bug = agg.schedules_to_first_bug;
-    let cached = replay.is_some() && run.visits.is_some();
-    if let (Some(replay), Some(visits)) = (replay.as_deref_mut(), run.visits.as_ref()) {
-        for record in visits {
-            // The serial driver checks the budget before every schedule; the
-            // check's outcome only changes when a *counted* schedule lands,
-            // so checking before each visit reproduces its truncation point.
-            if agg.schedules >= limits.schedule_limit {
-                truncated = true;
-                break;
-            }
-            let hit = replay.apply(&record.schedule, &record.enabled_counts);
-            if !hit {
-                level_executions += 1;
-            }
-            if let Some(d) = &record.counted {
-                record_digest(agg, d);
-                new_at_bound += 1;
-                level_slept = d.slept;
-                level_pruned_by_sleep = d.pruned_by_sleep;
-            }
-        }
-    } else {
-        for d in &run.digests {
-            // Same budget rule as above, over the counted digests only.
-            if agg.schedules >= limits.schedule_limit {
-                truncated = true;
-                break;
-            }
-            record_digest(agg, d);
-            new_at_bound += 1;
-            level_slept = d.slept;
-            level_pruned_by_sleep = d.pruned_by_sleep;
-            level_executions = d.executions;
-        }
-    }
-    // The serial `BoundedDfs` only learns it exhausted the bound from the
-    // `begin_execution` call *after* the last execution; once the budget is
-    // spent that call never happens, so the bound does not count as finished
-    // even when the digest list happens to be exactly exhausted.
-    let finished_bound = !truncated && agg.schedules < limits.schedule_limit && run.complete;
-    // Sleep-counter accounting mirrors the serial driver: it leaves a level
-    // either because the budget filled — right after the counted schedule
-    // that filled it, so the counters are that schedule's snapshot — or
-    // because the level's DFS was exhausted, with the level's final counters.
-    // The execution count follows the same rule, except in cache mode where
-    // the per-visit replay above already produced the exact serial value.
-    if !truncated && agg.schedules < limits.schedule_limit {
-        level_slept = run.slept;
-        level_pruned_by_sleep = run.pruned_by_sleep;
-        if !cached {
-            level_executions = run.executions;
-        }
-    }
-    agg.slept += level_slept;
-    agg.pruned_by_sleep += level_pruned_by_sleep;
-    agg.executions += level_executions;
-
-    agg.final_bound = Some(run.bound);
-    agg.new_schedules_at_final_bound = new_at_bound;
-    if agg.found_bug() && agg.bound_of_first_bug.is_none() {
-        agg.bound_of_first_bug = Some(run.bound);
-    }
-    explore::note_first_bug(prev_first_bug, agg, &limits.telemetry, program);
-    let fold_hits = replay.as_deref().map(CacheReplay::hits).unwrap_or(0);
-    limits.telemetry.emit(|| Event::BoundLevel {
-        program: program.to_string(),
-        technique: agg.technique.clone(),
-        bound: run.bound as u64,
-        schedules: agg.schedules - fold_base.0,
-        executions: agg.executions - fold_base.1,
-        cache_hits: fold_hits - fold_base.2,
-        new_at_bound,
-    });
-    if agg.schedules >= limits.schedule_limit && !finished_bound {
-        agg.hit_schedule_limit = true;
-        return true;
-    }
-    if agg.found_bug() {
-        // The paper completes the bound at which the bug was found, then
-        // stops (same rule as the serial driver).
-        return true;
-    }
-    if finished_bound && !run.pruned {
-        agg.complete = true;
-        return true;
-    }
-    if agg.schedules >= limits.schedule_limit {
-        agg.hit_schedule_limit = true;
-        return true;
-    }
-    false
-}
-
-/// Iterative schedule bounding with bound levels `0..=max_bound` explored as
-/// parallel tasks, in waves of `workers` levels. Produces statistics
-/// identical to the serial [`explore::iterative_bounding`] — including
-/// `new_schedules_at_final_bound`, `bound_of_first_bug` and the budget /
-/// completeness flags — because the per-level digests are folded in bound
-/// order under the exact serial accounting rules. Levels beyond the serial
-/// stopping point are speculative; once the fold stops, the remaining levels
-/// of the wave are cancelled and discarded.
-pub fn parallel_iterative_bounding(
-    program: &Program,
-    config: &ExecConfig,
-    kind: BoundKind,
-    limits: &ExploreLimits,
-    workers: usize,
-) -> ExplorationStats {
-    let label = match kind {
-        BoundKind::Preemption => "IPB",
-        BoundKind::Delay => "IDB",
-        BoundKind::None => "DFS",
-    };
-    let workers = workers.max(1);
-    // With no bound there are no levels to parallelise: every "level" would
-    // re-run the same full unbounded DFS, so delegate to the serial driver
-    // (same as the one-worker case — unless the work-stealing frontier can
-    // split the levels *internally*, which needs the digest-folding path
-    // even at one level-worker).
-    let stealing_within_levels = limits.steal_workers > 1 && !limits.por;
-    if kind == BoundKind::None || (workers == 1 && !stealing_within_levels) {
-        return explore::iterative_bounding(program, config, kind, limits);
-    }
-    let started = Instant::now();
-    let mut agg = ExplorationStats::new(label);
-    let mut degradation_reported = false;
-    let stop = AtomicBool::new(false);
-    let deadline = explore::deadline_from(started, limits);
-    // With caching on, the level workers share one cache: lookups and
-    // insertions are transparent memo operations on a deterministic program,
-    // so sharing only changes how many executions are physically skipped —
-    // never a result. The *reported* cache statistics come from `replay`,
-    // which the fold drives in bound order to reproduce the serial values.
-    // In corpus mode the shared cache is the loaded corpus trie and the
-    // replay mirror starts from its loaded baseline, so a resumed run folds
-    // pre-loaded hits exactly like the serial driver does.
-    let corpus = limits.shared_cache.clone();
-    let local_cache = (corpus.is_none() && limits.cache)
-        .then(|| RwLock::new(ScheduleCache::new(limits.cache_max_bytes)));
-    let mut replay = match &corpus {
-        Some(shared) => Some(shared.mirror()),
-        None => limits
-            .cache
-            .then(|| CacheReplay::new(limits.cache_max_bytes)),
-    };
-    let shared_cache: Option<&RwLock<ScheduleCache>> = corpus
-        .as_deref()
-        .map(SharedCache::live)
-        .or(local_cache.as_ref());
-    let mut bound = 0u32;
-    let mut done = false;
-    while !done && bound <= limits.max_bound {
-        let wave_last = bound
-            .saturating_add(workers as u32 - 1)
-            .min(limits.max_bound);
-        thread::scope(|scope| {
-            let stop = &stop;
-            let handles: Vec<_> = (bound..=wave_last)
-                .map(|b| {
-                    scope.spawn(move || {
-                        run_bound(
-                            program,
-                            config,
-                            kind,
-                            b,
-                            limits,
-                            stop,
-                            shared_cache,
-                            deadline,
-                        )
-                    })
-                })
-                .collect();
-            // Join in bound order and fold incrementally, so the stop flag
-            // cancels higher levels as soon as the serial rule fires.
-            for handle in handles {
-                let run = handle.join().expect("bound-level worker panicked");
-                if done {
-                    continue; // drain cancelled levels
-                }
-                done = fold_bound(&mut agg, &run, limits, replay.as_mut(), &program.name);
-                if !done && run.deadline_exceeded {
-                    // The level's worker hit the wall-clock budget: its
-                    // explored prefix is folded above; report the partial
-                    // aggregate and cancel everything still speculative.
-                    agg.deadline_exceeded = true;
-                    done = true;
-                }
-                if !degradation_reported {
-                    if let Some(r) = &replay {
-                        if r.is_full() {
-                            degradation_reported = true;
-                            limits.telemetry.emit(|| Event::CacheDegraded {
-                                program: program.name.clone(),
-                                technique: agg.technique.clone(),
-                                bytes: r.bytes(),
-                                max_bytes: limits.cache_max_bytes,
-                            });
-                        }
-                    }
-                }
-                if done {
-                    stop.store(true, Ordering::Relaxed);
-                }
-            }
-        });
-        if wave_last == limits.max_bound {
-            break;
-        }
-        bound = wave_last + 1;
-    }
-    // Same rule as the serial driver: running out of bound levels without
-    // stopping is an explicit "gave up on bounds" outcome.
-    agg.bound_exhausted = !done;
-    if let Some(replay) = &replay {
-        agg.cache_hits = replay.hits();
-        agg.cache_bytes = replay.bytes();
-    }
-    agg.explore_nanos = started.elapsed().as_nanos() as u64;
-    agg
-}
-
-/// Run one of the study's techniques with intra-technique parallelism over
-/// `workers` threads, preserving deterministic statistics (see the module
-/// docs for the exact guarantees per technique family).
-pub fn run_technique_parallel(
-    program: &Program,
-    config: &ExecConfig,
-    technique: Technique,
-    limits: &ExploreLimits,
-    workers: usize,
-) -> ExplorationStats {
-    let started = Instant::now();
-    let mut stats = match technique {
-        Technique::Dfs => explore::run_technique(program, config, technique, limits),
-        Technique::IterativePreemptionBounding => {
-            parallel_iterative_bounding(program, config, BoundKind::Preemption, limits, workers)
-        }
-        Technique::IterativeDelayBounding => {
-            parallel_iterative_bounding(program, config, BoundKind::Delay, limits, workers)
-        }
-        Technique::Random { .. } | Technique::Pct { .. } | Technique::MapleLike { .. } => {
-            explore_sharded(program, config, technique, limits, workers)
-        }
-    };
-    stats.explore_nanos = started.elapsed().as_nanos() as u64;
-    stats
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sct_ir::prelude::*;
-
-    fn figure1() -> Program {
-        let mut p = ProgramBuilder::new("figure1");
-        let x = p.global("x", 0);
-        let y = p.global("y", 0);
-        let z = p.global("z", 0);
-        let t1 = p.thread("t1", |b| {
-            b.store(x, 1);
-            b.store(y, 1);
-        });
-        let t2 = p.thread("t2", |b| {
-            b.store(z, 1);
-        });
-        let t3 = p.thread("t3", |b| {
-            let rx = b.local("rx");
-            let ry = b.local("ry");
-            b.load(x, rx);
-            b.load(y, ry);
-            b.assert_cond(eq(rx, ry), "x == y");
-        });
-        p.main(|b| {
-            b.spawn(t1);
-            b.spawn(t2);
-            b.spawn(t3);
-        });
-        p.build().unwrap()
-    }
-
-    fn config() -> ExecConfig {
-        ExecConfig::all_visible()
-    }
-
-    #[test]
-    fn derived_seeds_keep_shard_zero_and_spread_the_rest() {
-        assert_eq!(derive_seed(1234, 0), 1234);
-        let s1 = derive_seed(1234, 1);
-        let s2 = derive_seed(1234, 2);
-        assert_ne!(s1, 1234);
-        assert_ne!(s1, s2);
-        // Adjacent base seeds must not collide shard streams.
-        assert_ne!(derive_seed(1234, 1), derive_seed(1235, 1));
-    }
-
-    #[test]
-    fn shard_budgets_partition_the_limit() {
-        assert_eq!(shard_budgets(10, 4), vec![3, 3, 2, 2]);
-        assert_eq!(shard_budgets(3, 8), vec![1, 1, 1]);
-        assert_eq!(shard_budgets(8, 1), vec![8]);
-        assert!(shard_budgets(0, 4).is_empty());
-        for (limit, workers) in [(10_000u64, 7usize), (52, 4), (1, 16)] {
-            let budgets = shard_budgets(limit, workers);
-            assert_eq!(budgets.iter().sum::<u64>(), limit);
-        }
-    }
-
-    #[test]
-    fn sharded_random_is_deterministic_and_parallel_equals_serial() {
-        let prog = figure1();
-        let limits = ExploreLimits::with_schedule_limit(400);
-        let technique = Technique::Random { seed: 42 };
-        let serial = explore_sharded_serial(&prog, &config(), technique, &limits, 4);
-        let parallel = explore_sharded(&prog, &config(), technique, &limits, 4);
-        let parallel_again = explore_sharded(&prog, &config(), technique, &limits, 4);
-        assert_eq!(serial, parallel);
-        assert_eq!(parallel, parallel_again);
-        assert_eq!(parallel.schedules, 400);
-        assert!(parallel.found_bug(), "figure1's bug is easy for Rand");
-    }
-
-    #[test]
-    fn sharded_pct_parallel_equals_serial() {
-        let prog = figure1();
-        let limits = ExploreLimits::with_schedule_limit(300);
-        let technique = Technique::Pct { depth: 2, seed: 5 };
-        let serial = explore_sharded_serial(&prog, &config(), technique, &limits, 3);
-        let parallel = explore_sharded(&prog, &config(), technique, &limits, 3);
-        assert_eq!(serial, parallel);
-        assert_eq!(parallel.schedules, 300);
-    }
-
-    #[test]
-    fn one_worker_shard_plan_is_the_classic_serial_run() {
-        let prog = figure1();
-        let limits = ExploreLimits::with_schedule_limit(200);
-        let technique = Technique::Random { seed: 9 };
-        let classic = explore::run_technique(&prog, &config(), technique, &limits);
-        let sharded = explore_sharded(&prog, &config(), technique, &limits, 1);
-        assert_eq!(classic, sharded);
-    }
-
-    #[test]
-    fn parallel_iterative_bounding_matches_serial_exactly() {
-        let prog = figure1();
-        let limits = ExploreLimits::with_schedule_limit(10_000);
-        for kind in [BoundKind::Delay, BoundKind::Preemption] {
-            let serial = explore::iterative_bounding(&prog, &config(), kind, &limits);
-            for workers in [2, 4, 8] {
-                let parallel =
-                    parallel_iterative_bounding(&prog, &config(), kind, &limits, workers);
-                assert_eq!(serial, parallel, "{kind:?} with {workers} workers");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_iterative_bounding_with_sleep_sets_matches_serial() {
-        // The serial≡parallel guarantee must survive the reduction: the
-        // whole stats struct — including the slept / pruned_by_sleep
-        // counters — folds bit-identically at any worker count, with and
-        // without budget truncation.
-        let prog = figure1();
-        for limit in [3u64, 10_000] {
-            let limits = ExploreLimits::with_schedule_limit(limit).with_por(true);
-            for kind in [BoundKind::Delay, BoundKind::Preemption] {
-                let serial = explore::iterative_bounding(&prog, &config(), kind, &limits);
-                for workers in [2, 4, 8] {
-                    let parallel =
-                        parallel_iterative_bounding(&prog, &config(), kind, &limits, workers);
-                    assert_eq!(
-                        serial, parallel,
-                        "{kind:?} with {workers} workers at limit {limit}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_iterative_bounding_respects_the_schedule_limit() {
-        // A limit small enough to truncate mid-bound: the parallel fold must
-        // reproduce the serial truncation (hit flag, partial counts and all).
-        let prog = figure1();
-        for limit in [1u64, 2, 3, 5, 8, 13] {
-            let limits = ExploreLimits::with_schedule_limit(limit);
-            let serial = explore::iterative_bounding(&prog, &config(), BoundKind::Delay, &limits);
-            let parallel =
-                parallel_iterative_bounding(&prog, &config(), BoundKind::Delay, &limits, 4);
-            assert_eq!(serial, parallel, "limit {limit}");
-        }
-    }
-
-    #[test]
-    fn parallel_iterative_bounding_with_cache_matches_serial_exactly() {
-        // The whole stats struct — including the new executions / cache_hits
-        // / cache_bytes counters, whose parallel values come from the fold's
-        // deterministic cache replay — must equal the serial cached driver's
-        // at any worker count, with and without POR and budget truncation.
-        let prog = figure1();
-        for (limit, por) in [(10_000u64, false), (10_000, true), (3, false), (5, true)] {
-            let limits = ExploreLimits::with_schedule_limit(limit)
-                .with_por(por)
-                .with_cache(true);
-            for kind in [BoundKind::Delay, BoundKind::Preemption] {
-                let serial = explore::iterative_bounding(&prog, &config(), kind, &limits);
-                for workers in [2, 4, 8] {
-                    let parallel =
-                        parallel_iterative_bounding(&prog, &config(), kind, &limits, workers);
-                    assert_eq!(
-                        serial, parallel,
-                        "{kind:?} with {workers} workers at limit {limit}, por={por}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_cached_run_reports_the_serial_cache_savings() {
-        let prog = figure1();
-        let limits = ExploreLimits::with_schedule_limit(10_000).with_cache(true);
-        let uncached = parallel_iterative_bounding(
-            &prog,
-            &config(),
-            BoundKind::Delay,
-            &ExploreLimits::with_schedule_limit(10_000),
-            4,
-        );
-        let cached = parallel_iterative_bounding(&prog, &config(), BoundKind::Delay, &limits, 4);
-        assert!(cached.cache_hits > 0);
-        assert_eq!(cached.executions + cached.cache_hits, uncached.executions);
-    }
-
-    #[test]
-    fn parallel_iterative_bounding_reports_bound_exhaustion() {
-        let prog = figure1();
-        let limits = ExploreLimits {
-            max_bound: 0,
-            ..ExploreLimits::with_schedule_limit(10_000)
-        };
-        let serial = explore::iterative_bounding(&prog, &config(), BoundKind::Delay, &limits);
-        assert!(serial.bound_exhausted);
-        for workers in [2, 4] {
-            let parallel =
-                parallel_iterative_bounding(&prog, &config(), BoundKind::Delay, &limits, workers);
-            assert_eq!(serial, parallel, "{workers} workers");
-            assert!(parallel.bound_exhausted);
-        }
-    }
-
-    #[test]
-    fn parallel_iterative_bounding_reports_completion_on_tiny_programs() {
-        let mut p = ProgramBuilder::new("single");
-        let x = p.global("x", 0);
-        p.main(|b| {
-            b.store(x, 1);
-        });
-        let prog = p.build().unwrap();
-        let limits = ExploreLimits::default();
-        let serial = explore::iterative_bounding(&prog, &config(), BoundKind::Delay, &limits);
-        let parallel = parallel_iterative_bounding(&prog, &config(), BoundKind::Delay, &limits, 4);
-        assert_eq!(serial, parallel);
-        assert!(parallel.complete);
-        assert_eq!(parallel.schedules, 1);
-    }
-
-    #[test]
-    fn run_technique_parallel_covers_every_technique() {
-        let prog = figure1();
-        let limits = ExploreLimits::with_schedule_limit(500);
-        for technique in [
-            Technique::Dfs,
-            Technique::IterativePreemptionBounding,
-            Technique::IterativeDelayBounding,
-            Technique::Random { seed: 3 },
-            Technique::Pct { depth: 2, seed: 3 },
-            Technique::MapleLike {
-                profiling_runs: 4,
-                seed: 3,
-            },
-        ] {
-            let stats = run_technique_parallel(&prog, &config(), technique, &limits, 4);
-            assert!(stats.schedules >= 1, "{technique:?} explored nothing");
-        }
-    }
 }

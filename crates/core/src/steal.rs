@@ -1,13 +1,19 @@
 //! Work-stealing exploration *within* one bound level.
 //!
-//! [`crate::parallel`] parallelises iterative bounding across bound levels,
-//! but the paper's hard benchmarks put nearly all of their schedules into a
-//! single level, which PR 1's driver still walks on one core. This module
+//! The paper's hard benchmarks put nearly all of their schedules into a
+//! single bound level, which a serial driver walks on one core. This module
 //! splits the frontier of one bounded DFS itself: a shared queue of
 //! unexplored decision-prefix subtrees that workers claim, explore
 //! depth-first with their own reusable [`Execution`], and re-split whenever
 //! another worker goes hungry — while keeping every reported statistic
 //! **bit-identical to the serial search at any worker count**.
+//!
+//! The engine is one of the repository's two parallel mechanisms (the other
+//! is the harness's `--workers` fan-out over benchmark × technique units,
+//! see [`crate::parallel`]). It does no accounting of its own: it hands the
+//! level's schedules to the caller in serial visit order as a search, and
+//! the exploration drivers in [`crate::explore`] run that through the same
+//! per-schedule accounting as their inline searches.
 //!
 //! # The donation protocol
 //!
@@ -40,7 +46,7 @@
 //! The schedule cache needs no such gate — workers share one
 //! [`ScheduleCache`] purely as a memo of the deterministic program, and the
 //! reported cache counters are reconstructed serially by the caller's
-//! [`crate::cache::CacheReplay`] fold, exactly as in the cross-level driver.
+//! [`crate::cache::CacheReplay`] mirror.
 //!
 //! # Deterministic folding
 //!
@@ -53,15 +59,15 @@
 //! stream and recursively expands markers, which recovers the serial DFS
 //! visit order of the entire level; per-item counter deltas (sleep-set
 //! insertions split into their begin-execution phase, reduction prunes,
-//! bound prunes) let it reproduce the serial driver's truncation, probe and
-//! drain behaviour to the counter, including mid-stream budget cut-offs.
+//! bound prunes) let the consumer replay the serial scheduler's
+//! `begin`/complete split, so the serial driver's truncation, probe and
+//! drain behaviour carries over to the counter, including mid-stream budget
+//! cut-offs.
 
 use crate::bounds::BoundKind;
-use crate::cache::{
-    self, CacheHandle, ScheduleCache, ScheduleRun, SharedCache, TerminalDigest, VisitTrace,
-};
+use crate::cache::{self, CacheHandle, ScheduleCache, ScheduleRun, TerminalDigest, VisitTrace};
 use crate::dfs::{BoundedDfs, SubtreeSeed};
-use crate::explore::{self, ExploreLimits};
+use crate::explore::{self, ExploreLimits, Search, Visit};
 use crate::scheduler::Scheduler;
 use crate::stats::ExplorationStats;
 use crate::telemetry::{Event, Telemetry};
@@ -69,9 +75,8 @@ use sct_ir::Program;
 use sct_runtime::{ExecConfig, Execution};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, RwLock};
+use std::sync::{Condvar, Mutex, PoisonError, RwLock};
 use std::thread;
-use std::time::Instant;
 
 /// One completed execution, in its producing task's local order.
 struct Item {
@@ -80,8 +85,6 @@ struct Item {
     redundant: bool,
     /// Executed for real (`false`: served from the shared cache).
     executed: bool,
-    /// Bound cost of the schedule under the level's bound kind.
-    cost: u32,
     /// Sleep-set insertions performed by the `begin_execution` that installed
     /// this execution; the fold adds the boundary insertions of any subtree
     /// hand-offs the serial order crosses to reach it. Kept separate from the
@@ -131,9 +134,8 @@ struct Engine {
     work_cv: Condvar,
     /// The fold waits here for new entries.
     item_cv: Condvar,
-    /// Raised when no further results can matter: by the fold once the
-    /// serial stopping rule fired, or by a worker observing the caller's
-    /// cross-level stop flag.
+    /// Raised once no further results can matter: the caller has taken
+    /// every schedule it needs (or unwound).
     stop: AtomicBool,
     /// Workers currently waiting for a task — the hunger signal that makes
     /// busy workers donate a subtree.
@@ -172,10 +174,12 @@ impl Engine {
         self.stop.load(Ordering::Relaxed)
     }
 
-    /// Raise the stop flag and wake everyone so they can observe it.
+    /// Raise the stop flag and wake everyone so they can observe it. Runs
+    /// while unwinding too, so a poisoned lock is recovered rather than
+    /// panicked on: the guard only orders the wake-ups, nothing is written.
     fn shut_down(&self) {
         self.stop.store(true, Ordering::Relaxed);
-        let _guard = self.state.lock().expect("engine state poisoned");
+        let _guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         self.work_cv.notify_all();
         self.item_cv.notify_all();
         self.space_cv.notify_all();
@@ -243,32 +247,13 @@ struct WorkerCtx<'a> {
     kind: BoundKind,
     bound: u32,
     por: bool,
-    want_trace: bool,
+    /// The trie workers walk and grow; when present, they also ship visit
+    /// traces for the caller's mirror.
     cache: Option<&'a RwLock<ScheduleCache>>,
-    /// The caller's cross-level cancellation flag, promoted to
-    /// [`Engine::stop`] when observed.
-    external_stop: Option<&'a AtomicBool>,
     /// Telemetry handle for donation/theft/idle events. Events are
     /// observations only — workers never read telemetry state, so the folded
     /// results cannot depend on it.
     telemetry: &'a Telemetry,
-}
-
-impl WorkerCtx<'_> {
-    fn should_stop(&self) -> bool {
-        if self.engine.stopped() {
-            return true;
-        }
-        if self
-            .external_stop
-            .is_some_and(|s| s.load(Ordering::Relaxed))
-        {
-            // Promote, so idle workers and a blocked fold wake up too.
-            self.engine.shut_down();
-            return true;
-        }
-        false
-    }
 }
 
 /// How many entries a worker accumulates before handing them to the engine.
@@ -351,7 +336,7 @@ fn worker(ctx: &WorkerCtx<'_>, who: u64) {
             // and park while this task's stream is too far ahead of the fold
             // (re-checking the first two between parks).
             loop {
-                if ctx.should_stop() {
+                if engine.stopped() {
                     // Results can no longer matter; finish the task so the
                     // engine's bookkeeping drains cleanly.
                     engine.emit(task_id, std::mem::take(&mut batch), true);
@@ -387,16 +372,14 @@ fn worker(ctx: &WorkerCtx<'_>, who: u64) {
                 engine.emit(task_id, std::mem::take(&mut batch), true);
                 continue 'tasks;
             }
-            let handle = match ctx.cache {
-                Some(lock) => CacheHandle::Shared(lock),
-                None => CacheHandle::Off,
+            let (handle, want_trace) = match ctx.cache {
+                Some(lock) => (CacheHandle::Shared(lock), true),
+                None => (CacheHandle::Off, false),
             };
-            let (run, trace) =
-                cache::run_begun_schedule(&mut exec, &mut sched, handle, ctx.want_trace);
+            let (run, trace) = cache::run_begun_schedule(&mut exec, &mut sched, handle, want_trace);
             let (slept_now, pruned_by_sleep_now) = sched.sleep_counters();
             let bound_prunes_now = sched.bound_prune_count();
             batch.push(Entry::Item(Some(Item {
-                cost: run.cost(ctx.kind),
                 executed: matches!(run, ScheduleRun::Executed(_)),
                 digest: run.digest(),
                 redundant: sched.current_execution_redundant(),
@@ -439,9 +422,8 @@ impl<'a> Fold<'a> {
     }
 
     /// The next item in serial DFS order, blocking until it has been
-    /// produced. `None` when the whole level is exhausted — or when the
-    /// engine was stopped underneath the fold (cross-level cancellation);
-    /// callers distinguish the two via [`Engine::stopped`].
+    /// produced. `None` when the whole level is exhausted (or the engine was
+    /// stopped, which only happens once the consumer is done).
     fn next(&mut self) -> Option<Item> {
         if self.engine.stopped() {
             return None;
@@ -497,15 +479,15 @@ impl<'a> Fold<'a> {
 
 /// Whether the stealing gate allows parallel exploration for this
 /// configuration (see the module docs for the argument).
-fn stealing_sound(kind: BoundKind, por: bool) -> bool {
+pub(crate) fn stealing_sound(kind: BoundKind, por: bool) -> bool {
     !por || !kind.policy().can_prune()
 }
 
 /// Bounded DFS through the work-stealing engine, with the exact semantics of
-/// [`explore::explore_with`] over a [`BoundedDfs`] — including the
-/// completion probe and redundant-run drain at the schedule limit. Falls
-/// back to the serial driver when `steal_workers <= 1` or when the
-/// POR/bound combination makes donation unsound (see the module docs).
+/// the serial driver — including the completion probe and redundant-run
+/// drain at the schedule limit. Runs the serial driver when
+/// `steal_workers <= 1` or when the POR/bound combination makes donation
+/// unsound (see the module docs).
 pub fn explore_bounded_stealing(
     program: &Program,
     config: &ExecConfig,
@@ -513,7 +495,7 @@ pub fn explore_bounded_stealing(
     bound: u32,
     limits: &ExploreLimits,
 ) -> ExplorationStats {
-    explore_bounded_stealing_digests(program, config, kind, bound, limits).0
+    explore::explore_dfs(program, config, kind, bound, limits, None)
 }
 
 /// [`explore_bounded_stealing`], also returning the terminal digests of the
@@ -527,271 +509,99 @@ pub fn explore_bounded_stealing_digests(
     bound: u32,
     limits: &ExploreLimits,
 ) -> (ExplorationStats, Vec<TerminalDigest>) {
-    let workers = limits.steal_workers.max(1);
-    if workers <= 1 || !stealing_sound(kind, limits.por) {
-        let mut scheduler = BoundedDfs::new(kind.policy(), bound).with_sleep_sets(limits.por);
-        let mut digests = Vec::new();
-        let stats = if let Some(corpus) = limits.shared_cache.clone() {
-            explore::explore_dfs_corpus(
-                program,
-                config,
-                &mut scheduler,
-                limits,
-                &corpus,
-                Some(&mut digests),
-            )
-        } else {
-            explore_serial_digests(program, config, &mut scheduler, limits, &mut digests)
-        };
-        return (stats, digests);
-    }
-    let started = Instant::now();
-    let name = BoundedDfs::new(kind.policy(), bound)
-        .with_sleep_sets(limits.por)
-        .name();
-    let mut stats = ExplorationStats::new(name);
     let mut digests = Vec::new();
-    // Campaign mode: workers complete schedules through the shared corpus
-    // trie, and the fold replays the visit stream through a mirror seeded
-    // from the load-time baseline, so executions/hits/bytes match the
-    // serial corpus driver bit for bit (see `explore::explore_dfs_corpus`).
-    let corpus = limits.shared_cache.clone();
-    let mut mirror = corpus.as_ref().map(|c| c.mirror());
-    let engine = Engine::new();
-    let ctx = WorkerCtx {
-        engine: &engine,
-        program,
-        config,
-        kind,
-        bound,
-        por: limits.por,
-        want_trace: corpus.is_some(),
-        cache: corpus.as_deref().map(SharedCache::live),
-        external_stop: None,
-        telemetry: &limits.telemetry,
-    };
-    thread::scope(|scope| {
-        let ctx = &ctx;
-        for who in 0..workers {
-            scope.spawn(move || worker(ctx, who as u64));
-        }
-        let mut fold = Fold::new(&engine);
-        // Serial-order execution accounting: without a corpus every folded
-        // item was executed for real; with one, the mirror decides (a visit
-        // the baseline-plus-own-stream cache covers is a hit, not a run).
-        let mut charge = |stats: &mut ExplorationStats, item: &Item| match mirror.as_mut() {
-            Some(m) => {
-                let trace = item.trace.as_ref().expect("corpus mode requests traces");
-                if !m.apply(&trace.schedule, &trace.enabled_counts) {
-                    stats.executions += 1;
-                }
-            }
-            None => stats.executions += 1,
-        };
-        let deadline = explore::deadline_from(started, limits);
-        let mut complete = false;
-        loop {
-            if stats.schedules >= limits.schedule_limit {
-                break;
-            }
-            if explore::deadline_fired(deadline) {
-                // Cooperative wall-clock stop, checked once per folded
-                // schedule like the serial driver checks per executed one.
-                // The shut-down below cancels the workers' in-flight tail.
-                stats.deadline_exceeded = true;
-                break;
-            }
-            match fold.next() {
-                None => {
-                    complete = true;
-                    break;
-                }
-                Some(item) => {
-                    charge(&mut stats, &item);
-                    stats.slept += item.begin_slept;
-                    stats.pruned_by_sleep += item.ran_pruned_by_sleep;
-                    if !item.redundant {
-                        let prev = stats.schedules_to_first_bug;
-                        item.digest.record_into(&mut stats);
-                        explore::note_first_bug(prev, &stats, &limits.telemetry, &program.name);
-                        digests.push(item.digest);
-                    }
-                    // The live mirror is mutably captured by `charge`, so the
-                    // beacon reports hits as 0; the technique-level summary
-                    // carries the real figure.
-                    limits.telemetry.progress(|| Event::Progress {
-                        program: program.name.clone(),
-                        technique: stats.technique.clone(),
-                        schedules: stats.schedules,
-                        executions: stats.executions,
-                        cache_hits: 0,
-                    });
-                }
-            }
-        }
-        if !complete && !stats.deadline_exceeded && stats.schedules >= limits.schedule_limit {
-            // The serial driver probes a scheduler that filled its budget:
-            // one more `begin_execution`, plus — under POR — a drain of
-            // trailing redundant completions (see `explore_with`). Replay
-            // that over the stream: the probed-but-never-run execution
-            // charges only its begin-phase sleep insertions.
-            let mut drain_budget = limits.schedule_limit;
-            loop {
-                match fold.next() {
-                    None => {
-                        complete = true;
-                        break;
-                    }
-                    Some(item) => {
-                        if !limits.por || drain_budget == 0 {
-                            // The serial driver only *prepares* this
-                            // execution: charge its begin-phase sleep
-                            // insertions, but neither the mirror nor the
-                            // execution counter sees it.
-                            stats.slept += item.begin_slept;
-                            break;
-                        }
-                        drain_budget -= 1;
-                        charge(&mut stats, &item);
-                        stats.slept += item.begin_slept;
-                        stats.pruned_by_sleep += item.ran_pruned_by_sleep;
-                        if !item.redundant {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        stats.complete = complete;
-        stats.hit_schedule_limit = stats.schedules >= limits.schedule_limit && !complete;
-        engine.shut_down();
-    });
-    if let Some(m) = &mirror {
-        stats.cache_hits = m.hits();
-        stats.cache_bytes = m.bytes();
-    }
-    stats.explore_nanos = started.elapsed().as_nanos() as u64;
+    let stats = explore::explore_dfs(program, config, kind, bound, limits, Some(&mut digests));
     (stats, digests)
 }
 
-/// The serial fallback of [`explore_bounded_stealing_digests`]: drive the
-/// scheduler exactly like [`explore::explore_with`] while collecting the
-/// counted digests.
-fn explore_serial_digests(
-    program: &Program,
-    config: &ExecConfig,
-    scheduler: &mut BoundedDfs,
-    limits: &ExploreLimits,
-    digests: &mut Vec<TerminalDigest>,
-) -> ExplorationStats {
-    struct Collect<'a, 'b> {
-        inner: &'a mut BoundedDfs,
-        digests: &'b mut Vec<TerminalDigest>,
-        last_redundant: bool,
-    }
-    impl Scheduler for Collect<'_, '_> {
-        fn begin_execution(&mut self) -> bool {
-            self.inner.begin_execution()
-        }
-        fn choose(&mut self, point: &sct_runtime::SchedulingPoint) -> sct_runtime::ThreadId {
-            self.inner.choose(point)
-        }
-        fn end_execution(&mut self, outcome: &sct_runtime::ExecutionOutcome) {
-            self.inner.end_execution(outcome);
-            self.last_redundant = self.inner.current_execution_redundant();
-            if !self.last_redundant {
-                self.digests.push(TerminalDigest::of(outcome));
+/// One bound level on the work-stealing engine, seen as a [`Search`]: the
+/// serial visit order of the level, one schedule per `begin`/`complete`
+/// pair, with the sleep-set counters charged in the same two phases as the
+/// serial scheduler charges them.
+pub(crate) struct Stolen<'e> {
+    fold: Fold<'e>,
+    /// The schedule `begin` took off the stream, awaiting `complete`.
+    begun: Option<Item>,
+    exhausted: bool,
+    slept: u64,
+    pruned_by_sleep: u64,
+    pruned: bool,
+}
+
+impl Search for Stolen<'_> {
+    fn begin(&mut self) -> bool {
+        match self.fold.next() {
+            Some(item) => {
+                self.slept += item.begin_slept;
+                self.begun = Some(item);
+                true
+            }
+            None => {
+                self.exhausted = true;
+                false
             }
         }
-        fn name(&self) -> String {
-            self.inner.name()
-        }
-        fn is_exhaustive(&self) -> bool {
-            self.inner.is_exhaustive()
-        }
-        fn can_exhaust(&self) -> bool {
-            self.inner.can_exhaust()
-        }
-        fn sleep_counters(&self) -> (u64, u64) {
-            self.inner.sleep_counters()
-        }
-        fn current_execution_redundant(&self) -> bool {
-            self.inner.current_execution_redundant()
+    }
+
+    fn complete(&mut self, _cache: CacheHandle<'_>, _want_trace: bool) -> Visit {
+        let item = self
+            .begun
+            .take()
+            .expect("complete follows a successful begin");
+        self.pruned_by_sleep += item.ran_pruned_by_sleep;
+        self.pruned |= item.ran_bound_prunes > 0;
+        Visit {
+            run: ScheduleRun::Served(item.digest),
+            executed: item.executed,
+            redundant: item.redundant,
+            trace: item.trace,
         }
     }
-    let mut collect = Collect {
-        inner: scheduler,
-        digests,
-        last_redundant: false,
-    };
-    let stats = explore::explore_with(program, config, &mut collect, limits);
-    // The probe/drain at the limit may have run (and pushed) executions the
-    // serial driver discards; the stealing driver never surfaces those, so
-    // trim the collection back to the counted schedules.
-    collect.digests.truncate(stats.schedules as usize);
-    stats
+
+    fn sleep_counters(&self) -> (u64, u64) {
+        (self.slept, self.pruned_by_sleep)
+    }
+
+    fn is_exhaustive(&self) -> bool {
+        self.exhausted
+    }
+
+    fn can_exhaust(&self) -> bool {
+        true
+    }
+
+    fn was_pruned(&self) -> bool {
+        self.pruned
+    }
 }
 
-/// One schedule of a stolen bound level, in serial visit order, with the
-/// cumulative counter snapshots the cross-level fold stamps on counted
-/// digests.
-pub(crate) struct LevelItem {
-    pub digest: TerminalDigest,
-    /// Whether the level's iteration rules count this schedule
-    /// (non-redundant, cost equal to the bound — or any cost at bound 0).
-    pub counted: bool,
-    /// Cumulative sleep-set counters as of this schedule, serial order.
-    pub slept: u64,
-    pub pruned_by_sleep: u64,
-    /// Cumulative real-execution count as of this schedule. Only meaningful
-    /// without caching (same caveat as the serial level driver: under a
-    /// shared cache the fold recomputes executions from the visit traces).
-    pub executions: u64,
-    /// Visit footprint for the cache replay (cached levels only).
-    pub trace: Option<VisitTrace>,
+/// Shuts the engine down when dropped, so the workers exit even when the
+/// consumer unwinds (a scoped thread is joined before the panic propagates).
+struct ShutDown<'e>(&'e Engine);
+
+impl Drop for ShutDown<'_> {
+    fn drop(&mut self) {
+        self.0.shut_down();
+    }
 }
 
-/// A bound level explored by the stealing engine: the serial-order prefix of
-/// its schedule stream up to the budget cap, plus the completion facts the
-/// cross-level fold consumes.
-pub(crate) struct LevelRun {
-    pub items: Vec<LevelItem>,
-    /// Whether the level's search space was exhausted before the cap (and
-    /// without cancellation) — the stream analogue of the serial driver
-    /// learning completeness from one more `begin_execution`.
-    pub complete: bool,
-    /// Whether the bound excluded an alternative anywhere in the explored
-    /// prefix.
-    pub pruned: bool,
-    /// Final counters, used by the fold only when the level applies in full.
-    pub slept: u64,
-    pub pruned_by_sleep: u64,
-    pub executions: u64,
-    /// Whether the caller's wall-clock deadline cut this level short (the
-    /// explored prefix is still valid; the cross-level fold stops after it).
-    pub deadline_exceeded: bool,
-}
-
-/// Explore one bound level with the work-stealing engine, producing exactly
-/// the stream the serial per-level driver (`run_bound` in
-/// [`crate::parallel`]) would have produced: same schedules, same serial
-/// visit order, same cut-off at the budget cap, same completion facts.
-/// Callers gate on [`ExploreLimits::steal_workers`] and POR (the engine is
-/// only used for POR-off levels; see the module docs).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_level_stealing(
+/// Explore one bound level with the work-stealing engine and hand its
+/// schedules to `consume` as a [`Stolen`] search, in serial visit order.
+/// Workers walk and grow `cache` when given, and then ship visit traces for
+/// the caller's mirror. The workers stop once `consume` returns: producers
+/// run at most a few batches ahead of the schedules the caller takes, so a
+/// caller that stops at its budget discards little work. Callers gate on
+/// [`ExploreLimits::steal_workers`] and [`stealing_sound`].
+pub(crate) fn run_level_stealing<R>(
     program: &Program,
     config: &ExecConfig,
     kind: BoundKind,
     bound: u32,
     limits: &ExploreLimits,
-    stop: &AtomicBool,
-    shared_cache: Option<&RwLock<ScheduleCache>>,
-    deadline: Option<Instant>,
-) -> LevelRun {
+    cache: Option<&RwLock<ScheduleCache>>,
+    consume: impl FnOnce(&mut Stolen<'_>) -> R,
+) -> R {
     debug_assert!(stealing_sound(kind, limits.por));
-    let workers = limits.steal_workers.max(1);
-    let cap = limits.schedule_limit;
     let engine = Engine::new();
     let ctx = WorkerCtx {
         engine: &engine,
@@ -800,71 +610,24 @@ pub(crate) fn run_level_stealing(
         kind,
         bound,
         por: limits.por,
-        want_trace: shared_cache.is_some(),
-        cache: shared_cache,
-        external_stop: Some(stop),
+        cache,
         telemetry: &limits.telemetry,
     };
-    let mut items: Vec<LevelItem> = Vec::new();
-    let (mut counted, mut executions) = (0u64, 0u64);
-    let (mut slept, mut pruned_by_sleep) = (0u64, 0u64);
-    let mut pruned = false;
-    let mut complete = false;
-    let mut deadline_exceeded = false;
     thread::scope(|scope| {
         let ctx = &ctx;
-        for who in 0..workers {
+        for who in 0..limits.steal_workers.max(1) {
             scope.spawn(move || worker(ctx, who as u64));
         }
-        let mut fold = Fold::new(&engine);
-        while counted < cap && !stop.load(Ordering::Relaxed) {
-            if explore::deadline_fired(deadline) {
-                deadline_exceeded = true;
-                break;
-            }
-            match fold.next() {
-                None => {
-                    // Exhausted — unless the engine was stopped underneath
-                    // the fold, in which case this level is cancelled and its
-                    // result will be discarded anyway.
-                    complete = !engine.stopped();
-                    break;
-                }
-                Some(item) => {
-                    slept += item.begin_slept;
-                    pruned_by_sleep += item.ran_pruned_by_sleep;
-                    if item.executed {
-                        executions += 1;
-                    }
-                    if item.ran_bound_prunes > 0 {
-                        pruned = true;
-                    }
-                    let is_counted = !item.redundant && (item.cost == bound || bound == 0);
-                    if is_counted {
-                        counted += 1;
-                    }
-                    items.push(LevelItem {
-                        digest: item.digest,
-                        counted: is_counted,
-                        slept,
-                        pruned_by_sleep,
-                        executions,
-                        trace: item.trace,
-                    });
-                }
-            }
-        }
-        engine.shut_down();
-    });
-    LevelRun {
-        items,
-        complete,
-        pruned,
-        slept,
-        pruned_by_sleep,
-        executions,
-        deadline_exceeded,
-    }
+        let _shut_down = ShutDown(&engine);
+        consume(&mut Stolen {
+            fold: Fold::new(&engine),
+            begun: None,
+            exhausted: false,
+            slept: 0,
+            pruned_by_sleep: 0,
+            pruned: false,
+        })
+    })
 }
 
 #[cfg(test)]
@@ -1022,5 +785,36 @@ mod tests {
         if let Some((_, depth2)) = victim.donate_oldest_subtree() {
             assert!(depth2 > depth);
         }
+    }
+
+    #[test]
+    fn a_panic_in_the_consumer_shuts_the_engine_down() {
+        // The schedule boundary (and with it any injected engine panic) runs
+        // on the consuming thread. Unwinding from there must stop the
+        // workers, which otherwise park a window ahead of the consumer and
+        // keep the scope waiting forever — so the space must be far larger
+        // than that window. The program name is unique so the armed fault
+        // trips no concurrent test.
+        use crate::fault::{self, FaultKind};
+        let name = "steal-consumer-panic";
+        let mut p = ProgramBuilder::new(name);
+        let x = p.global("x", 0);
+        let t = p.thread("t", |b| {
+            b.store(x, 1);
+            b.store(x, 2);
+            b.store(x, 3);
+        });
+        p.main(|b| {
+            for _ in 0..4 {
+                b.spawn(t);
+            }
+        });
+        let prog = p.build().unwrap();
+        let _fault = fault::arm(FaultKind::SchedulePanic, name, 3);
+        let lim = limits(10_000).with_steal_workers(2);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            explore_bounded_stealing(&prog, &config(), BoundKind::None, u32::MAX, &lim)
+        }));
+        assert!(run.is_err(), "the injected panic must reach the caller");
     }
 }

@@ -380,35 +380,6 @@ fn differential_sleep_set_dfs_matches_plain_dfs_on_every_tractable_benchmark() {
     );
 }
 
-#[test]
-fn por_parallel_iterative_bounding_is_bit_identical_to_the_serial_driver() {
-    // With pruning enabled, `parallel_iterative_bounding` must still produce
-    // the exact serial statistics — digests, sleep counters, bounds and
-    // budget flags — at 1, 2 and 8 workers (plus any worker count injected
-    // by CI through SCT_TEST_WORKERS).
-    let worker_counts = differential_worker_counts();
-    for name in ["CS.din_phil2_sat", "CS.reorder_3_bad", "CS.twostage_bad"] {
-        let spec = benchmark_by_name(name).unwrap();
-        let program = spec.program();
-        let config = ExecConfig::all_visible();
-        for schedule_limit in [7u64, 2_000] {
-            let limits = ExploreLimits::with_schedule_limit(schedule_limit).with_por(true);
-            for kind in [BoundKind::Preemption, BoundKind::Delay] {
-                let serial = iterative_bounding(&program, &config, kind, &limits);
-                for &workers in &worker_counts {
-                    let parallel = sct::core::parallel_iterative_bounding(
-                        &program, &config, kind, &limits, workers,
-                    );
-                    assert_eq!(
-                        serial, parallel,
-                        "{name}: {kind:?} with {workers} workers at limit {schedule_limit}"
-                    );
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Schedule caching: the differential-testing harness.
 // ---------------------------------------------------------------------------
@@ -603,38 +574,6 @@ fn differential_cached_bounding_preserves_bugs_and_terminal_fingerprints() {
 }
 
 #[test]
-fn cached_parallel_iterative_bounding_is_bit_identical_to_the_serial_driver() {
-    // With caching on, `parallel_iterative_bounding` must reproduce the
-    // serial statistics exactly — including the executions / cache_hits /
-    // cache_bytes counters recomputed by the fold's deterministic cache
-    // replay — at 1, 2 and 8 workers (plus any count injected by CI through
-    // SCT_TEST_WORKERS), with and without POR and budget truncation.
-    let worker_counts = differential_worker_counts();
-    for name in ["CS.din_phil2_sat", "CS.reorder_3_bad", "CS.twostage_bad"] {
-        let spec = benchmark_by_name(name).unwrap();
-        let program = spec.program();
-        let config = ExecConfig::all_visible();
-        for (schedule_limit, por) in [(7u64, false), (2_000, false), (2_000, true)] {
-            let limits = ExploreLimits::with_schedule_limit(schedule_limit)
-                .with_por(por)
-                .with_cache(true);
-            for kind in [BoundKind::Preemption, BoundKind::Delay] {
-                let serial = iterative_bounding(&program, &config, kind, &limits);
-                for &workers in &worker_counts {
-                    let parallel = sct::core::parallel_iterative_bounding(
-                        &program, &config, kind, &limits, workers,
-                    );
-                    assert_eq!(
-                        serial, parallel,
-                        "{name}: {kind:?} with {workers} workers at limit {schedule_limit}, por={por}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn cache_harness_pipeline_reports_identical_rows_with_fewer_executions() {
     // End-to-end through the harness: `--schedule-cache` must change no
     // verdict and no study row — only the execution/cache counters.
@@ -751,32 +690,67 @@ fn stolen_frontier_techniques_are_bit_identical_to_the_serial_driver() {
     // stays bit-identical to the serial run at every worker count, under
     // every flag combination. Where the combination is unsound to steal
     // (POR with a pruning bound), the driver must fall back to serial, so
-    // equality still holds by construction.
+    // equality still holds by construction. Besides the budget-truncated and
+    // bug-stopped runs of the benchmarks, the inputs include the two other
+    // ways iterative bounding stops: giving up on bounds (`max_bound: 0` on
+    // a bug that needs one preemption) and covering the whole space at
+    // bound 0 (a one-thread program).
     let worker_counts = differential_worker_counts();
     let techniques = [
         Technique::Dfs,
         Technique::IterativePreemptionBounding,
         Technique::IterativeDelayBounding,
     ];
-    for name in ["CS.din_phil2_sat", "CS.reorder_3_bad", "CS.twostage_bad"] {
-        let spec = benchmark_by_name(name).unwrap();
-        let program = spec.program();
-        let config = ExecConfig::all_visible();
+    let single = {
+        let mut p = ProgramBuilder::new("single");
+        let x = p.global("x", 0);
+        p.main(|b| {
+            b.store(x, 1);
+        });
+        p.build().unwrap()
+    };
+    let default_bound = ExploreLimits::default().max_bound;
+    let bench = |name: &str| benchmark_by_name(name).unwrap().program();
+    let programs = [
+        ("CS.din_phil2_sat", bench("CS.din_phil2_sat"), default_bound),
+        ("CS.reorder_3_bad", bench("CS.reorder_3_bad"), default_bound),
+        ("CS.twostage_bad", bench("CS.twostage_bad"), default_bound),
+        (
+            "CS.reorder_3_bad at max_bound 0",
+            bench("CS.reorder_3_bad"),
+            0,
+        ),
+        ("single", single, default_bound),
+    ];
+    let config = ExecConfig::all_visible();
+    for (name, program, max_bound) in &programs {
         for (schedule_limit, por, cache) in [
             (7u64, false, false),
+            (7, false, true),
             (2_000, false, false),
             (2_000, true, false),
             (2_000, false, true),
             (2_000, true, true),
         ] {
             for technique in techniques {
-                let base = ExploreLimits::with_schedule_limit(schedule_limit)
-                    .with_por(por)
-                    .with_cache(cache);
-                let serial = explore::run_technique(&program, &config, technique, &base);
+                let base = ExploreLimits {
+                    max_bound: *max_bound,
+                    ..ExploreLimits::with_schedule_limit(schedule_limit)
+                        .with_por(por)
+                        .with_cache(cache)
+                };
+                let serial = explore::run_technique(program, &config, technique, &base);
+                let iterative = technique != Technique::Dfs;
+                if iterative && *max_bound == 0 && schedule_limit > 7 {
+                    assert!(serial.bound_exhausted, "{name}: {serial:?}");
+                }
+                if iterative && *name == "single" {
+                    assert!(serial.complete && serial.schedules == 1, "{serial:?}");
+                    assert_eq!(serial.final_bound, Some(0));
+                }
                 for &workers in &worker_counts {
                     let stolen = explore::run_technique(
-                        &program,
+                        program,
                         &config,
                         technique,
                         &base.clone().with_steal_workers(workers),
@@ -791,6 +765,73 @@ fn stolen_frontier_techniques_are_bit_identical_to_the_serial_driver() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn stolen_dfs_progress_beacons_match_the_serial_driver_on_a_resumed_corpus() {
+    // Progress beacons are observations, but they must observe the same
+    // thing at any steal-worker count: one beacon per counted schedule (none
+    // for sleep-blocked completions), carrying the serial driver's
+    // executions and cache hits. A resumed corpus makes the hits non-zero.
+    #[derive(Default)]
+    struct ProgressLog(std::sync::Mutex<Vec<(u64, u64, u64)>>);
+    impl Recorder for ProgressLog {
+        fn record(&self, event: &Event) {
+            if let Event::Progress {
+                schedules,
+                executions,
+                cache_hits,
+                ..
+            } = event
+            {
+                self.0
+                    .lock()
+                    .unwrap()
+                    .push((*schedules, *executions, *cache_hits));
+            }
+        }
+    }
+    let name = "CS.reorder_3_bad";
+    let program = benchmark_by_name(name).unwrap().program();
+    let config = ExecConfig::all_visible();
+    let key = corpus::corpus_key(name, &config);
+    for por in [false, true] {
+        let base = limits(2_000).with_por(por);
+        let cold = std::sync::Arc::new(SharedCache::of(ScheduleCache::default()));
+        explore::run_technique(
+            &program,
+            &config,
+            Technique::Dfs,
+            &base.clone().with_shared_cache(Some(cold.clone())),
+        );
+        let saved = cold.with_live(|c| corpus::cache_to_bytes(c, key));
+        let beacons = |steal_workers: usize| {
+            let loaded =
+                corpus::cache_from_bytes(&saved, key, std::path::Path::new("<mem>")).unwrap();
+            let log = std::sync::Arc::new(ProgressLog::default());
+            let telemetry = Telemetry::with_progress_interval(
+                vec![Box::new(std::sync::Arc::clone(&log))],
+                std::time::Duration::ZERO,
+            );
+            let lim = base
+                .clone()
+                .with_steal_workers(steal_workers)
+                .with_shared_cache(Some(std::sync::Arc::new(SharedCache::of(loaded))))
+                .with_telemetry(telemetry);
+            let stats = explore::run_technique(&program, &config, Technique::Dfs, &lim);
+            let stream = log.0.lock().unwrap().clone();
+            (stats, stream)
+        };
+        let (serial_stats, serial) = beacons(1);
+        let (stolen_stats, stolen) = beacons(2);
+        assert_eq!(serial_stats, stolen_stats, "por={por}: stats");
+        assert_eq!(serial, stolen, "por={por}: progress stream");
+        assert_eq!(serial.len() as u64, serial_stats.schedules, "por={por}");
+        assert!(
+            serial.last().is_some_and(|&(_, _, hits)| hits > 0),
+            "por={por}: the resumed run served nothing, so the oracle is vacuous"
+        );
     }
 }
 

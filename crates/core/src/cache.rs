@@ -14,7 +14,9 @@
 //!
 //! * an **interior node** stores the [`SchedulingPoint`] data the scheduler
 //!   consumes at that prefix (compressed to a single [`PendingOp`] when only
-//!   one thread is enabled, the overwhelmingly common case);
+//!   one thread is enabled, the overwhelmingly common case) as a range of
+//!   one shared op arena, and its explored decisions in one shared edge
+//!   array;
 //! * a **terminal node** stores a [`TerminalDigest`]: the bug
 //!   classification, final-state fingerprint, preemption/delay costs and the
 //!   summary statistics [`crate::stats::ExplorationStats`] needs to record
@@ -53,7 +55,9 @@ pub const DEFAULT_CACHE_BYTES: u64 = 128 * 1024 * 1024;
 
 /// Estimated bytes of one interior trie node with `enabled` runnable threads.
 /// A single-thread node stores only a [`PendingOp`]; a choice node stores the
-/// full scheduling point (enabled list + pending summaries + edge list).
+/// full scheduling point (enabled list + pending summaries + edge list). The
+/// estimate is part of the corpus format (loads recompute and check it), so
+/// it stays fixed whatever the in-memory layout.
 pub fn node_weight(enabled: usize) -> u64 {
     const FORCED_NODE_BYTES: u64 = 56;
     const CHOICE_NODE_BYTES: u64 = 112;
@@ -130,8 +134,11 @@ impl TerminalDigest {
     }
 }
 
-/// Outgoing edge of a trie node.
-#[derive(Debug, Clone, Copy)]
+/// Index sentinel: no edge (and, in a [`CacheReplay`], a terminal target).
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// Outgoing edge target of a trie node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Link {
     /// The decision leads to another scheduling point.
     Interior(u32),
@@ -139,50 +146,54 @@ pub(crate) enum Link {
     Terminal(u32),
 }
 
-/// One memoized scheduling point.
-#[derive(Debug, Clone)]
-pub(crate) enum Node {
-    /// Exactly one thread was enabled: the scheduler has no choice, so only
-    /// the pending-operation summary (needed by sleep-set inheritance) and
-    /// the single outgoing edge are kept.
-    Forced { op: PendingOp, next: Option<Link> },
-    /// A genuine choice: the full scheduling point plus one edge per decision
-    /// explored so far.
-    Choice {
-        point: SchedulingPoint,
-        edges: Vec<(ThreadId, Link)>,
-    },
+/// What a choice node keeps of its [`SchedulingPoint`] besides the enabled
+/// threads and their pending summaries. Those two live in the op arena:
+/// `pending` is index-parallel to `enabled`, so the enabled threads are the
+/// threads of the node's op range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PointContext {
+    pub(crate) last: Option<ThreadId>,
+    pub(crate) last_enabled: bool,
+    pub(crate) num_threads: usize,
+    pub(crate) step_index: usize,
 }
 
-impl Node {
-    fn of_point(point: &SchedulingPoint) -> (Node, usize) {
-        let enabled = point.enabled.len();
-        let node = if enabled == 1 {
-            Node::Forced {
-                op: point.pending[0],
-                next: None,
-            }
-        } else {
-            Node::Choice {
-                point: point.clone(),
-                edges: Vec::new(),
-            }
-        };
-        (node, enabled)
-    }
-
-    fn edge(&self, t: ThreadId) -> Option<Link> {
-        match self {
-            Node::Forced { op, next } => {
-                if t == op.thread {
-                    *next
-                } else {
-                    None
-                }
-            }
-            Node::Choice { edges, .. } => edges.iter().find(|(d, _)| *d == t).map(|(_, l)| *l),
+impl PointContext {
+    fn of(point: &SchedulingPoint) -> Self {
+        PointContext {
+            last: point.last,
+            last_enabled: point.last_enabled,
+            num_threads: point.num_threads,
+            step_index: point.step_index,
         }
     }
+}
+
+/// One memoized scheduling point: a range of the op arena, its context and
+/// the head of its edge list.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Node {
+    /// Start of the node's pending summaries in [`ScheduleCache::ops`].
+    ops: u32,
+    /// Number of enabled threads (the length of the op range).
+    enabled: u32,
+    /// Index into [`ScheduleCache::contexts`] for a genuine choice. `NONE`
+    /// marks a *forced* node: exactly one thread was enabled, so the
+    /// scheduler has no choice and only the pending summary (needed by
+    /// sleep-set inheritance) and the single outgoing edge are kept.
+    context: u32,
+    /// First outgoing edge in [`ScheduleCache::edges`] (`NONE`: none yet).
+    first_edge: u32,
+}
+
+/// One explored decision out of a node. A node's edges form a list through
+/// `next` in insertion order, which is the order the corpus format stores
+/// them in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Edge {
+    pub(crate) thread: ThreadId,
+    pub(crate) link: Link,
+    next: u32,
 }
 
 /// Result of walking the trie for one schedule.
@@ -195,28 +206,30 @@ enum Walk {
     Miss { depth: usize, record: bool },
 }
 
-/// Per-step summary recorded during a real execution, for insertion.
-enum RecordedStep {
-    Forced(PendingOp),
-    Choice(SchedulingPoint),
-}
-
-impl RecordedStep {
-    fn of(point: &SchedulingPoint) -> Self {
-        if point.enabled.len() == 1 {
-            RecordedStep::Forced(point.pending[0])
-        } else {
-            RecordedStep::Choice(point.clone())
-        }
-    }
+/// Per-step summary recorded during a real execution, for insertion: the
+/// step's pending summaries are `ScheduleBuffers::ops[ops..ops + enabled]`.
+#[derive(Debug, Clone, Copy)]
+struct RecordedStep {
+    ops: u32,
+    enabled: u32,
+    /// `None` when one thread was enabled (the step becomes a forced node).
+    context: Option<PointContext>,
 }
 
 /// A prefix-keyed memo of the deterministic program: scheduling points keyed
 /// by decision prefix, terminal digests keyed by full decision sequence. See
 /// the module documentation for how the exploration drivers use it.
+///
+/// The trie lives in flat tables: nodes hold ranges into one shared
+/// [`PendingOp`] arena, and every edge lives in one edge array. Insertions
+/// only ever append to the tables and add links out of existing nodes, which
+/// is what lets [`SharedCache::restore_baseline`] roll back by truncation.
 #[derive(Debug)]
 pub struct ScheduleCache {
     pub(crate) nodes: Vec<Node>,
+    ops: Vec<PendingOp>,
+    contexts: Vec<PointContext>,
+    pub(crate) edges: Vec<Edge>,
     pub(crate) terminals: Vec<TerminalDigest>,
     pub(crate) bytes: u64,
     pub(crate) max_bytes: u64,
@@ -235,29 +248,15 @@ impl Default for ScheduleCache {
     }
 }
 
-// Manual because of the atomic hit counter (cloned by value). Used by
-// [`SharedCache`] to keep a pristine copy of the load-time trie for panic
-// recovery.
-impl Clone for ScheduleCache {
-    fn clone(&self) -> Self {
-        ScheduleCache {
-            nodes: self.nodes.clone(),
-            terminals: self.terminals.clone(),
-            bytes: self.bytes,
-            max_bytes: self.max_bytes,
-            full: self.full,
-            hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
-            insertions: self.insertions,
-        }
-    }
-}
-
 impl ScheduleCache {
     /// An empty cache that stops growing once its byte estimate reaches
     /// `max_bytes` (it keeps serving what it already holds).
     pub fn new(max_bytes: u64) -> Self {
         ScheduleCache {
             nodes: Vec::new(),
+            ops: Vec::new(),
+            contexts: Vec::new(),
+            edges: Vec::new(),
             terminals: Vec::new(),
             bytes: 0,
             max_bytes,
@@ -287,49 +286,122 @@ impl ScheduleCache {
         self.full
     }
 
+    /// Number of buggy terminals in the trie: the length of
+    /// [`ScheduleCache::buggy_schedules`], without building the paths.
+    pub fn buggy_terminals(&self) -> usize {
+        self.terminals.iter().filter(|d| d.is_buggy()).count()
+    }
+
+    /// The pending summaries of `node`, one per enabled thread in thread-id
+    /// order.
+    pub(crate) fn node_ops(&self, node: &Node) -> &[PendingOp] {
+        &self.ops[node.ops as usize..][..node.enabled as usize]
+    }
+
+    /// The choice-point context of `node`; `None` for a forced node.
+    pub(crate) fn node_context(&self, node: &Node) -> Option<&PointContext> {
+        self.contexts.get(node.context as usize)
+    }
+
+    /// The edges out of `node`, in insertion order.
+    pub(crate) fn node_edges(&self, node: &Node) -> impl Iterator<Item = &Edge> + Clone + '_ {
+        let mut at = node.first_edge;
+        std::iter::from_fn(move || {
+            let edge = self.edges.get(at as usize)?;
+            at = edge.next;
+            Some(edge)
+        })
+    }
+
+    /// The edge out of node `node` for decision `t`, and the node's last
+    /// edge (where a new edge is appended; `NONE` when it has none).
+    fn find_edge(&self, node: usize, t: ThreadId) -> (Option<Link>, u32) {
+        let (mut at, mut tail) = (self.nodes[node].first_edge, NONE);
+        while let Some(edge) = self.edges.get(at as usize) {
+            if edge.thread == t {
+                return (Some(edge.link), tail);
+            }
+            (tail, at) = (at, edge.next);
+        }
+        (None, tail)
+    }
+
+    /// Append a node over `ops` (forced when `context` is `None`). The
+    /// caller charges its weight.
+    pub(crate) fn push_node(&mut self, ops: &[PendingOp], context: Option<PointContext>) -> u32 {
+        let context = match context {
+            None => NONE,
+            Some(c) => {
+                self.contexts.push(c);
+                self.contexts.len() as u32 - 1
+            }
+        };
+        self.nodes.push(Node {
+            ops: self.ops.len() as u32,
+            enabled: ops.len() as u32,
+            context,
+            first_edge: NONE,
+        });
+        self.ops.extend_from_slice(ops);
+        self.nodes.len() as u32 - 1
+    }
+
+    /// Append an edge out of `node` after `tail`, the node's current last
+    /// edge (`NONE` when it has none).
+    pub(crate) fn push_edge(
+        &mut self,
+        node: usize,
+        tail: u32,
+        thread: ThreadId,
+        link: Link,
+    ) -> u32 {
+        let e = self.edges.len() as u32;
+        self.edges.push(Edge {
+            thread,
+            link,
+            next: NONE,
+        });
+        match self.edges.get_mut(tail as usize) {
+            Some(prev) => prev.next = e,
+            None => self.nodes[node].first_edge = e,
+        }
+        e
+    }
+
     /// Every buggy schedule memoized in the trie: the full decision path and
     /// the bug its terminal recorded, in deterministic (path-lexicographic)
     /// order. This is the raw material of the persistent bug corpus — see
     /// [`crate::corpus`].
     pub fn buggy_schedules(&self) -> Vec<(Vec<ThreadId>, Bug)> {
         let mut found = Vec::new();
-        if self.nodes.is_empty() {
+        let Some(root) = self.nodes.first() else {
             return found;
-        }
+        };
         let mut path: Vec<ThreadId> = Vec::new();
-        // Iterative DFS: (node index, next edge ordinal to visit).
-        let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
-        while let Some(&mut (node, ref mut edge)) = stack.last_mut() {
-            let next = match &self.nodes[node] {
-                Node::Forced { op, next } => {
-                    if *edge == 0 {
-                        next.map(|l| (op.thread, l))
-                    } else {
-                        None
-                    }
-                }
-                Node::Choice { edges, .. } => edges.get(*edge).map(|&(t, l)| (t, l)),
+        // Iterative DFS: the next edge to visit out of each node on the path.
+        let mut stack: Vec<u32> = vec![root.first_edge];
+        while let Some(at) = stack.last_mut() {
+            let Some(edge) = self.edges.get(*at as usize) else {
+                stack.pop();
+                path.pop();
+                continue;
             };
-            *edge += 1;
-            match next {
-                Some((t, Link::Interior(n))) => {
-                    path.push(t);
-                    stack.push((n as usize, 0));
+            *at = edge.next;
+            match edge.link {
+                Link::Interior(n) => {
+                    path.push(edge.thread);
+                    stack.push(self.nodes[n as usize].first_edge);
                 }
-                Some((t, Link::Terminal(d))) => {
+                Link::Terminal(d) => {
                     let digest = &self.terminals[d as usize];
                     if digest.is_buggy() {
-                        path.push(t);
+                        path.push(edge.thread);
                         found.push((
                             path.clone(),
                             digest.bug.clone().expect("buggy digest has a bug"),
                         ));
                         path.pop();
                     }
-                }
-                None => {
-                    stack.pop();
-                    path.pop();
                 }
             }
         }
@@ -341,61 +413,59 @@ impl ScheduleCache {
     /// the decision path either reaches a cached terminal (hit) or leaves the
     /// trie (miss). On a hit the optional trace receives the full decision
     /// path and per-step enabled counts. Takes only a shared borrow so
-    /// concurrent workers can walk one cache in parallel.
-    fn walk(&self, scheduler: &mut BoundedDfs, mut trace: Option<&mut VisitTrace>) -> Walk {
+    /// concurrent workers can walk one cache in parallel; `point` is the
+    /// caller's scratch point, refilled from the arena at every node.
+    fn walk(
+        &self,
+        scheduler: &mut BoundedDfs,
+        point: &mut SchedulingPoint,
+        mut trace: Option<&mut VisitTrace>,
+    ) -> Walk {
         if self.nodes.is_empty() {
             return Walk::Miss {
                 depth: 0,
                 record: !self.full,
             };
         }
-        // Scratch point reused to present Forced nodes to the scheduler. The
-        // synthesized fields are chosen so every scheduler-visible quantity
-        // matches the real point: `round_robin_choice` returns the single
-        // enabled thread and both bound policies price it at zero, exactly as
-        // they do on the real forced point.
-        let mut scratch = SchedulingPoint {
-            enabled: Vec::with_capacity(1),
-            last: None,
-            last_enabled: true,
-            num_threads: 1,
-            step_index: 0,
-            pending: Vec::with_capacity(1),
-        };
         let mut cursor = 0usize;
         let mut depth = 0usize;
         loop {
-            let next = match &self.nodes[cursor] {
-                Node::Forced { op, next } => {
-                    scratch.enabled.clear();
-                    scratch.enabled.push(op.thread);
-                    scratch.pending.clear();
-                    scratch.pending.push(*op);
-                    scratch.last = Some(op.thread);
-                    scratch.num_threads = op.thread.index() + 1;
-                    scratch.step_index = depth;
-                    let chosen = scheduler.choose(&scratch);
-                    debug_assert_eq!(chosen, op.thread, "forced node must pick its only thread");
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.schedule.push(chosen);
-                        t.enabled_counts.push(1);
-                    }
-                    if chosen == op.thread {
-                        *next
-                    } else {
-                        None
-                    }
+            let node = &self.nodes[cursor];
+            let ops = self.node_ops(node);
+            point.enabled.clear();
+            point.enabled.extend(ops.iter().map(|op| op.thread));
+            point.pending.clear();
+            point.pending.extend_from_slice(ops);
+            match self.node_context(node) {
+                Some(c) => {
+                    point.last = c.last;
+                    point.last_enabled = c.last_enabled;
+                    point.num_threads = c.num_threads;
+                    point.step_index = c.step_index;
                 }
-                Node::Choice { point, edges } => {
-                    let chosen = scheduler.choose(point);
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.schedule.push(chosen);
-                        t.enabled_counts.push(point.enabled.len() as u32);
-                    }
-                    edges.iter().find(|(d, _)| *d == chosen).map(|(_, l)| *l)
+                None => {
+                    // A forced node keeps no context. The synthesized fields
+                    // make every scheduler-visible quantity match the real
+                    // point: `round_robin_choice` returns the single enabled
+                    // thread and both bound policies price it at zero,
+                    // exactly as they do on the real forced point.
+                    let only = ops[0].thread;
+                    point.last = Some(only);
+                    point.last_enabled = true;
+                    point.num_threads = only.index() + 1;
+                    point.step_index = depth;
                 }
-            };
-            match next {
+            }
+            let chosen = scheduler.choose(point);
+            debug_assert!(
+                node.context != NONE || chosen == ops[0].thread,
+                "forced node must pick its only thread"
+            );
+            if let Some(t) = trace.as_deref_mut() {
+                t.schedule.push(chosen);
+                t.enabled_counts.push(node.enabled);
+            }
+            match self.find_edge(cursor, chosen).0 {
                 Some(Link::Interior(n)) => {
                     cursor = n as usize;
                     depth += 1;
@@ -420,21 +490,34 @@ impl ScheduleCache {
         }
     }
 
+    /// Append the node recorded as `step`, charging its weight.
+    fn push_recorded(&mut self, step: &RecordedStep, ops: &[PendingOp]) -> u32 {
+        self.bytes += node_weight(step.enabled as usize);
+        let range = &ops[step.ops as usize..][..step.enabled as usize];
+        self.push_node(range, step.context)
+    }
+
     /// Insert a completed execution: `schedule` is its full decision path,
-    /// `recorded` the point summaries from `miss_depth` on (the prefix below
-    /// `miss_depth` is already in the trie — or, under a shared cache, may
-    /// have been inserted by another worker in the meantime).
+    /// `recorded` the point summaries from `miss_depth` on, over the op
+    /// buffer `ops` (the prefix below `miss_depth` is already in the trie —
+    /// or, under a shared cache, may have been inserted by another worker in
+    /// the meantime).
     ///
     /// The byte cap is checked after every charged node, not once per suffix:
     /// the moment the estimate reaches `max_bytes` the insert stops, so the
     /// cache overshoots by at most the node that crossed the line. A
     /// truncated path (interior nodes without their terminal) is valid trie
     /// content — walks miss at its end and fall back to a real execution.
+    ///
+    /// Every new node, op, edge and terminal is appended, and every new link
+    /// out of an existing node points at an appended node or terminal — the
+    /// invariant [`SharedCache::restore_baseline`] relies on.
     fn insert(
         &mut self,
         schedule: &[ThreadId],
         miss_depth: usize,
         recorded: &[RecordedStep],
+        ops: &[PendingOp],
         digest: TerminalDigest,
     ) {
         if self.full || schedule.is_empty() {
@@ -443,18 +526,7 @@ impl ScheduleCache {
         debug_assert_eq!(miss_depth + recorded.len(), schedule.len());
         if self.nodes.is_empty() {
             debug_assert_eq!(miss_depth, 0);
-            let (node, enabled) = match &recorded[0] {
-                RecordedStep::Forced(op) => (
-                    Node::Forced {
-                        op: *op,
-                        next: None,
-                    },
-                    1,
-                ),
-                RecordedStep::Choice(point) => Node::of_point(point),
-            };
-            self.bytes += node_weight(enabled);
-            self.nodes.push(node);
+            self.push_recorded(&recorded[0], ops);
             if self.bytes >= self.max_bytes {
                 self.full = true;
                 return;
@@ -464,59 +536,45 @@ impl ScheduleCache {
         let mut terminal = Some(digest);
         for (i, &t) in schedule.iter().enumerate() {
             let is_last = i + 1 == schedule.len();
-            match self.nodes[cursor].edge(t) {
-                Some(Link::Interior(n)) => {
+            let tail = match self.find_edge(cursor, t) {
+                (Some(Link::Interior(n)), _) => {
                     debug_assert!(!is_last, "an interior edge cannot end a schedule");
                     cursor = n as usize;
+                    continue;
                 }
-                Some(Link::Terminal(_)) => {
+                (Some(Link::Terminal(_)), _) => {
                     // Another worker inserted the same schedule concurrently.
                     debug_assert!(is_last, "a terminal edge cannot continue a schedule");
                     return;
                 }
-                None => {
-                    let link = if is_last {
-                        let d = self.terminals.len() as u32;
-                        self.terminals
-                            .push(terminal.take().expect("terminal digest consumed twice"));
-                        self.bytes += TERMINAL_BYTES;
-                        Link::Terminal(d)
-                    } else {
-                        let depth = i + 1;
-                        debug_assert!(depth >= miss_depth, "missing summary for cached prefix");
-                        let (node, enabled) = match &recorded[depth - miss_depth] {
-                            RecordedStep::Forced(op) => (
-                                Node::Forced {
-                                    op: *op,
-                                    next: None,
-                                },
-                                1,
-                            ),
-                            RecordedStep::Choice(point) => Node::of_point(point),
-                        };
-                        self.bytes += node_weight(enabled);
-                        let n = self.nodes.len() as u32;
-                        self.nodes.push(node);
-                        Link::Interior(n)
-                    };
-                    match &mut self.nodes[cursor] {
-                        Node::Forced { op, next } => {
-                            debug_assert_eq!(t, op.thread);
-                            *next = Some(link);
-                        }
-                        Node::Choice { edges, .. } => edges.push((t, link)),
-                    }
-                    if let Link::Interior(n) = link {
-                        cursor = n as usize;
-                    }
-                    if self.bytes >= self.max_bytes {
-                        self.full = true;
-                        if !is_last {
-                            // Truncated: the rest of the suffix (and its
-                            // terminal) is dropped.
-                            return;
-                        }
-                    }
+                (None, tail) => tail,
+            };
+            debug_assert!(
+                self.node_context(&self.nodes[cursor]).is_some()
+                    || self.node_ops(&self.nodes[cursor])[0].thread == t,
+                "a forced node's only edge is its thread's"
+            );
+            let link = if is_last {
+                let d = self.terminals.len() as u32;
+                self.terminals
+                    .push(terminal.take().expect("terminal digest consumed twice"));
+                self.bytes += TERMINAL_BYTES;
+                Link::Terminal(d)
+            } else {
+                let depth = i + 1;
+                debug_assert!(depth >= miss_depth, "missing summary for cached prefix");
+                Link::Interior(self.push_recorded(&recorded[depth - miss_depth], ops))
+            };
+            self.push_edge(cursor, tail, t, link);
+            if let Link::Interior(n) = link {
+                cursor = n as usize;
+            }
+            if self.bytes >= self.max_bytes {
+                self.full = true;
+                if !is_last {
+                    // Truncated: the rest of the suffix (and its terminal)
+                    // is dropped.
+                    return;
                 }
             }
         }
@@ -542,8 +600,8 @@ impl CacheHandle<'_> {
     // Lock poisoning is recovered, not propagated: the cache is a pure memo,
     // so the worst a panic-interrupted writer can leave behind is a trie that
     // memoizes less than it could — statistics come from per-driver mirrors,
-    // never from the live trie. The harness additionally resets a shared
-    // cache to its pristine baseline after catching an engine panic
+    // never from the live trie. The harness additionally rolls a shared
+    // cache back to its load-time contents after catching an engine panic
     // ([`SharedCache::restore_baseline`]), so one blown-up technique cannot
     // poison the rest of the study.
     fn read<R>(&self, f: impl FnOnce(&ScheduleCache) -> R) -> Option<R> {
@@ -627,24 +685,55 @@ impl VisitTrace {
     }
 }
 
+/// Buffers a driver reuses across the schedules it completes through
+/// [`run_begun_schedule`]: the scratch point cache walks present to the
+/// scheduler, and the point summaries and decision path a miss records for
+/// insertion.
+#[derive(Debug)]
+pub struct ScheduleBuffers {
+    point: SchedulingPoint,
+    steps: Vec<RecordedStep>,
+    ops: Vec<PendingOp>,
+    schedule: Vec<ThreadId>,
+}
+
+impl Default for ScheduleBuffers {
+    fn default() -> Self {
+        ScheduleBuffers {
+            point: SchedulingPoint {
+                enabled: Vec::new(),
+                last: None,
+                last_enabled: false,
+                num_threads: 0,
+                step_index: 0,
+                pending: Vec::new(),
+            },
+            steps: Vec::new(),
+            ops: Vec::new(),
+            schedule: Vec::new(),
+        }
+    }
+}
+
 /// Complete the schedule the scheduler has just begun (i.e.
 /// [`BoundedDfs::begin_execution`] returned `true`): serve it from the cache
 /// when the whole decision path is memoized, otherwise execute it for real —
 /// replaying the cached prefix against the live program — and insert the new
-/// suffix. With `want_trace` the visit footprint is returned as well.
+/// suffix. `buffers` are the caller's, reused across schedules; `trace`,
+/// when given, receives the visit footprint.
 pub fn run_begun_schedule(
     exec: &mut Execution<'_>,
     scheduler: &mut BoundedDfs,
     mut cache: CacheHandle<'_>,
-    want_trace: bool,
-) -> (ScheduleRun, Option<VisitTrace>) {
-    let mut trace = if want_trace {
-        Some(VisitTrace::default())
-    } else {
-        None
-    };
+    buffers: &mut ScheduleBuffers,
+    mut trace: Option<&mut VisitTrace>,
+) -> ScheduleRun {
+    if let Some(t) = trace.as_deref_mut() {
+        t.schedule.clear();
+        t.enabled_counts.clear();
+    }
     let walk = cache
-        .read(|c| c.walk(scheduler, trace.as_mut()))
+        .read(|c| c.walk(scheduler, &mut buffers.point, trace.as_deref_mut()))
         .unwrap_or(Walk::Miss {
             depth: 0,
             record: false,
@@ -652,7 +741,7 @@ pub fn run_begun_schedule(
     let (miss_depth, record) = match walk {
         Walk::Hit(digest) => {
             scheduler.finish_cached_execution();
-            return (ScheduleRun::Served(digest), trace);
+            return ScheduleRun::Served(digest);
         }
         Walk::Miss { depth, record } => (depth, record),
     };
@@ -662,12 +751,19 @@ pub fn run_begun_schedule(
     // the live scheduling points.
     scheduler.rewind_replay();
     exec.reset();
-    let mut recorded: Vec<RecordedStep> = Vec::new();
+    let (steps, ops) = (&mut buffers.steps, &mut buffers.ops);
+    steps.clear();
+    ops.clear();
     let mut step = 0usize;
     let outcome = exec.run(
         &mut |point| {
             if record && step >= miss_depth {
-                recorded.push(RecordedStep::of(point));
+                steps.push(RecordedStep {
+                    ops: ops.len() as u32,
+                    enabled: point.pending.len() as u32,
+                    context: point.has_choice().then(|| PointContext::of(point)),
+                });
+                ops.extend_from_slice(&point.pending);
             }
             step += 1;
             scheduler.choose(point)
@@ -676,14 +772,26 @@ pub fn run_begun_schedule(
     );
     scheduler.end_execution(&outcome);
     if record {
+        let schedule = &mut buffers.schedule;
+        schedule.clear();
+        schedule.extend(outcome.steps.iter().map(|s| s.thread));
         let digest = TerminalDigest::of(&outcome);
-        let schedule = outcome.schedule();
-        cache.write(|c| c.insert(&schedule, miss_depth, &recorded, digest));
+        cache.write(|c| c.insert(schedule, miss_depth, &buffers.steps, &buffers.ops, digest));
     }
-    if let Some(t) = trace.as_mut() {
+    if let Some(t) = trace {
         t.fill_from(&outcome);
     }
-    (ScheduleRun::Executed(outcome), trace)
+    ScheduleRun::Executed(outcome)
+}
+
+/// One edge of a [`CacheReplay`] mirror.
+#[derive(Debug, Clone, Copy)]
+struct ReplayEdge {
+    thread: ThreadId,
+    /// Target node; `NONE` marks a terminal edge.
+    target: u32,
+    /// Next edge out of the same node, in insertion order (`NONE`: last).
+    next: u32,
 }
 
 /// A structure-only mirror of [`ScheduleCache`]: it tracks which decision
@@ -694,10 +802,16 @@ pub fn run_begun_schedule(
 /// `cache_hits` / `cache_bytes` / `executions` statistics are bit-identical
 /// to a serial driver's with a private cache, no matter how the live trie's
 /// users actually interleaved.
+///
+/// The mirror is two flat arrays — the first edge of every node and one
+/// edge array, laid out index for index like the trie's — so cloning it is
+/// two memcpys and [`CacheReplay::apply`] allocates only when the mirror
+/// grows.
 #[derive(Debug, Clone)]
 pub struct CacheReplay {
-    /// Edge lists per node; `None` target marks a terminal edge.
-    nodes: Vec<Vec<(ThreadId, Option<u32>)>>,
+    /// First outgoing edge of every node, index into `edges` (`NONE`: none).
+    first: Vec<u32>,
+    edges: Vec<ReplayEdge>,
     bytes: u64,
     max_bytes: u64,
     full: bool,
@@ -708,7 +822,8 @@ impl CacheReplay {
     /// A replay mirror with the same byte cap as the real cache.
     pub fn new(max_bytes: u64) -> Self {
         CacheReplay {
-            nodes: Vec::new(),
+            first: Vec::new(),
+            edges: Vec::new(),
             bytes: 0,
             max_bytes,
             full: false,
@@ -724,26 +839,20 @@ impl CacheReplay {
     /// visit order — not on how concurrent techniques sharing the live cache
     /// happened to interleave.
     pub fn from_cache(cache: &ScheduleCache) -> Self {
-        let nodes = cache
-            .nodes
-            .iter()
-            .map(|node| match node {
-                Node::Forced { op, next } => match next {
-                    None => Vec::new(),
-                    Some(Link::Interior(n)) => vec![(op.thread, Some(*n))],
-                    Some(Link::Terminal(_)) => vec![(op.thread, None)],
-                },
-                Node::Choice { edges, .. } => edges
-                    .iter()
-                    .map(|&(t, link)| match link {
-                        Link::Interior(n) => (t, Some(n)),
-                        Link::Terminal(_) => (t, None),
-                    })
-                    .collect(),
-            })
-            .collect();
         CacheReplay {
-            nodes,
+            first: cache.nodes.iter().map(|n| n.first_edge).collect(),
+            edges: cache
+                .edges
+                .iter()
+                .map(|e| ReplayEdge {
+                    thread: e.thread,
+                    target: match e.link {
+                        Link::Interior(n) => n,
+                        Link::Terminal(_) => NONE,
+                    },
+                    next: e.next,
+                })
+                .collect(),
             bytes: cache.bytes,
             max_bytes: cache.max_bytes,
             full: cache.full,
@@ -767,6 +876,19 @@ impl CacheReplay {
         self.full
     }
 
+    /// The target of node `node`'s edge for `t` (`Some(NONE)`: a terminal
+    /// edge), and the node's last edge.
+    fn find(&self, node: usize, t: ThreadId) -> (Option<u32>, u32) {
+        let (mut at, mut tail) = (self.first[node], NONE);
+        while let Some(edge) = self.edges.get(at as usize) {
+            if edge.thread == t {
+                return (Some(edge.target), tail);
+            }
+            (tail, at) = (at, edge.next);
+        }
+        (None, tail)
+    }
+
     /// Replay one visited schedule. Returns `true` when the serial cache
     /// would have served it (a hit: no program execution), `false` when the
     /// serial driver would have executed it (the path is then inserted,
@@ -777,21 +899,25 @@ impl CacheReplay {
         // Walk as far as the trie goes.
         let mut cursor = 0usize;
         let mut matched = 0usize;
-        if !self.nodes.is_empty() {
+        let mut tail = NONE;
+        if !self.first.is_empty() {
             for (i, &t) in schedule.iter().enumerate() {
                 let is_last = i + 1 == schedule.len();
-                match self.nodes[cursor].iter().find(|(d, _)| *d == t) {
-                    Some((_, Some(n))) => {
-                        debug_assert!(!is_last);
-                        cursor = *n as usize;
-                        matched = i + 1;
-                    }
-                    Some((_, None)) => {
+                match self.find(cursor, t) {
+                    (Some(NONE), _) => {
                         debug_assert!(is_last);
                         self.hits += 1;
                         return true;
                     }
-                    None => break,
+                    (Some(n), _) => {
+                        debug_assert!(!is_last);
+                        cursor = n as usize;
+                        matched = i + 1;
+                    }
+                    (None, last) => {
+                        tail = last;
+                        break;
+                    }
                 }
             }
         }
@@ -799,11 +925,9 @@ impl CacheReplay {
         if self.full || schedule.is_empty() {
             return false;
         }
-        if self.nodes.is_empty() {
+        if self.first.is_empty() {
             self.bytes += node_weight(enabled_counts[0] as usize);
-            self.nodes.push(Vec::new());
-            cursor = 0;
-            matched = 0;
+            self.first.push(NONE);
             if self.bytes >= self.max_bytes {
                 self.full = true;
                 return false;
@@ -811,16 +935,25 @@ impl CacheReplay {
         }
         for (i, &t) in schedule.iter().enumerate().skip(matched) {
             let is_last = i + 1 == schedule.len();
-            if is_last {
-                self.nodes[cursor].push((t, None));
+            let target = if is_last {
                 self.bytes += TERMINAL_BYTES;
+                NONE
             } else {
                 self.bytes += node_weight(enabled_counts[i + 1] as usize);
-                let n = self.nodes.len() as u32;
-                self.nodes.push(Vec::new());
-                self.nodes[cursor].push((t, Some(n)));
-                cursor = n as usize;
+                self.first.push(NONE);
+                self.first.len() as u32 - 1
+            };
+            let e = self.edges.len() as u32;
+            self.edges.push(ReplayEdge {
+                thread: t,
+                target,
+                next: NONE,
+            });
+            match self.edges.get_mut(tail as usize) {
+                Some(prev) => prev.next = e,
+                None => self.first[cursor] = e,
             }
+            (cursor, tail) = (target as usize, NONE);
             if self.bytes >= self.max_bytes {
                 // Same per-node cap as [`ScheduleCache::insert`]: stop after
                 // the node that crossed the line.
@@ -832,36 +965,65 @@ impl CacheReplay {
     }
 }
 
+/// The lengths of a trie's tables and its durable counters at one moment.
+/// Insertions only append, so these are all [`SharedCache::restore_baseline`]
+/// needs to roll a trie back to that moment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Extent {
+    nodes: usize,
+    ops: usize,
+    contexts: usize,
+    edges: usize,
+    terminals: usize,
+    bytes: u64,
+    full: bool,
+    insertions: u64,
+}
+
+impl Extent {
+    fn of(cache: &ScheduleCache) -> Self {
+        Extent {
+            nodes: cache.nodes.len(),
+            ops: cache.ops.len(),
+            contexts: cache.contexts.len(),
+            edges: cache.edges.len(),
+            terminals: cache.terminals.len(),
+            bytes: cache.bytes,
+            full: cache.full,
+            insertions: cache.insertions,
+        }
+    }
+}
+
 /// A schedule cache shared across the techniques of one benchmark (and, when
 /// resuming, loaded from a persistent corpus — see [`crate::corpus`]).
 ///
 /// The `live` trie is the real memo every driver walks and inserts into; the
 /// `baseline` is a frozen [`CacheReplay`] snapshot taken at construction.
-/// Each corpus-mode driver clones the baseline via [`SharedCache::mirror`]
-/// and replays its own visit stream through the clone, reporting the
+/// Each corpus-mode driver copies the baseline via [`SharedCache::mirror`]
+/// and replays its own visit stream through the copy, reporting the
 /// mirror's hit/byte counters. Counters therefore depend only on the loaded
 /// baseline and each technique's deterministic visit order, never on how the
 /// techniques' live-cache operations interleaved.
+///
+/// No copy of the load-time trie is kept: its table lengths and counters
+/// (the `loaded` extent) are enough to roll the live trie back, because
+/// insertions only append (see [`SharedCache::restore_baseline`]).
 #[derive(Debug)]
 pub struct SharedCache {
     live: RwLock<ScheduleCache>,
     baseline: CacheReplay,
-    /// A full copy of the load-time trie (digests included, unlike the
-    /// structure-only `baseline`), kept so a panic-poisoned live trie can be
-    /// rolled back to known-good contents ([`SharedCache::restore_baseline`]).
-    pristine: ScheduleCache,
+    loaded: Extent,
 }
 
 impl SharedCache {
     /// Wrap an existing (possibly freshly loaded) cache, freezing its
     /// current contents as the accounting baseline.
     pub fn of(cache: ScheduleCache) -> Self {
-        let baseline = CacheReplay::from_cache(&cache);
-        let pristine = cache.clone();
         SharedCache {
+            baseline: CacheReplay::from_cache(&cache),
+            loaded: Extent::of(&cache),
             live: RwLock::new(cache),
-            baseline,
-            pristine,
         }
     }
 
@@ -886,16 +1048,53 @@ impl SharedCache {
         f(&self.live.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Roll the live trie back to the pristine load-time contents and clear
-    /// any lock poisoning. The harness calls this after catching an engine
-    /// panic: a writer that unwound mid-insert may have left the trie
-    /// structurally inconsistent, and a corrupt memo — unlike a merely stale
-    /// one — could serve wrong digests. Memoized work from after load time is
-    /// lost (a pure perf cost); subsequent techniques see exactly the
-    /// baseline, so their mirror-reported counters stay correct.
+    /// Whether the live trie still holds exactly its load-time contents —
+    /// nothing was inserted since [`SharedCache::of`], or a
+    /// [`SharedCache::restore_baseline`] undid it. An insertion that changes
+    /// anything appends a node or a terminal, so comparing table lengths
+    /// and counters is exact.
+    pub fn is_unchanged(&self) -> bool {
+        self.with_live(|c| Extent::of(c) == self.loaded)
+    }
+
+    /// Roll the live trie back to its load-time contents and clear any lock
+    /// poisoning. The harness calls this after catching an engine panic: a
+    /// writer that unwound mid-insert may have left the trie structurally
+    /// inconsistent, and a corrupt memo — unlike a merely stale one — could
+    /// serve wrong digests. Memoized work from after load time is lost (a
+    /// pure perf cost); subsequent techniques see exactly the baseline, so
+    /// their mirror-reported counters stay correct.
+    ///
+    /// Truncation is a complete rollback because an insertion (finished or
+    /// torn) only ever appends nodes, ops, contexts, edges and terminals,
+    /// and only ever links an existing node — through its first-edge slot or
+    /// its last edge's `next` — to an appended edge. Cutting every table
+    /// back to its load-time length and clearing the links that point past
+    /// the cut therefore restores every load-time entry exactly; `bytes`,
+    /// `full` and `insertions` are restored from the load-time extent.
     pub fn restore_baseline(&self) {
         let mut live = self.live.write().unwrap_or_else(PoisonError::into_inner);
-        *live = self.pristine.clone();
+        let to = self.loaded;
+        live.nodes.truncate(to.nodes);
+        live.ops.truncate(to.ops);
+        live.contexts.truncate(to.contexts);
+        live.edges.truncate(to.edges);
+        live.terminals.truncate(to.terminals);
+        let past = |e: u32| e != NONE && e as usize >= to.edges;
+        for node in &mut live.nodes {
+            if past(node.first_edge) {
+                node.first_edge = NONE;
+            }
+        }
+        for edge in &mut live.edges {
+            if past(edge.next) {
+                edge.next = NONE;
+            }
+        }
+        live.bytes = to.bytes;
+        live.full = to.full;
+        live.insertions = to.insertions;
+        drop(live);
         self.live.clear_poison();
     }
 }
@@ -904,6 +1103,7 @@ impl SharedCache {
 mod tests {
     use super::*;
     use crate::bounds::{BoundKind, DelayBound};
+    use crate::corpus::{cache_from_bytes, cache_to_bytes};
     use crate::dfs::BoundedDfs;
     use sct_ir::prelude::*;
     use sct_runtime::ExecConfig;
@@ -954,13 +1154,14 @@ mod tests {
             Some(c) => CacheHandle::Local(c),
             None => CacheHandle::Off,
         };
+        let mut buffers = ScheduleBuffers::default();
         while scheduler.begin_execution() {
             let borrowed = match &mut handle {
                 CacheHandle::Off => CacheHandle::Off,
                 CacheHandle::Local(c) => CacheHandle::Local(c),
                 CacheHandle::Shared(m) => CacheHandle::Shared(m),
             };
-            let (run, _) = run_begun_schedule(&mut exec, &mut scheduler, borrowed, false);
+            let run = run_begun_schedule(&mut exec, &mut scheduler, borrowed, &mut buffers, None);
             if matches!(run, ScheduleRun::Executed(_)) {
                 executed += 1;
             }
@@ -1054,16 +1255,17 @@ mod tests {
             let mut cache = ScheduleCache::new(cap);
             let mut replay = CacheReplay::new(cap);
             let mut exec = Execution::new_shared(&prog, &config);
+            let (mut buffers, mut trace) = (ScheduleBuffers::default(), VisitTrace::default());
             for bound in 0..3u32 {
                 let mut scheduler = BoundedDfs::new(Box::new(DelayBound), bound);
                 while scheduler.begin_execution() {
-                    let (_, trace) = run_begun_schedule(
+                    run_begun_schedule(
                         &mut exec,
                         &mut scheduler,
                         CacheHandle::Local(&mut cache),
-                        true,
+                        &mut buffers,
+                        Some(&mut trace),
                     );
-                    let trace = trace.expect("trace requested");
                     replay.apply(&trace.schedule, &trace.enabled_counts);
                 }
             }
@@ -1105,17 +1307,18 @@ mod tests {
         let config = ExecConfig::all_visible();
         let mut exec = Execution::new_shared(&prog, &config);
         let mut scheduler = BoundedDfs::new(Box::new(DelayBound), 1);
+        let (mut buffers, mut trace) = (ScheduleBuffers::default(), VisitTrace::default());
         let (mut live_hits, mut mirror_hits) = (0u64, 0u64);
         while scheduler.begin_execution() {
             let before = shared.with_live(|c| c.hits());
-            let (_, trace) = run_begun_schedule(
+            run_begun_schedule(
                 &mut exec,
                 &mut scheduler,
                 CacheHandle::Shared(shared.live()),
-                true,
+                &mut buffers,
+                Some(&mut trace),
             );
             live_hits += shared.with_live(|c| c.hits()) - before;
-            let trace = trace.expect("trace requested");
             if mirror.apply(&trace.schedule, &trace.enabled_counts) {
                 mirror_hits += 1;
             }
@@ -1126,9 +1329,9 @@ mod tests {
     }
 
     /// A technique unit panicking while it holds the live write lock poisons
-    /// the `RwLock`; the recovery path must bring the shared trie back to
-    /// its load-time contents, clear the poison, and keep the mirror
-    /// snapshot consistent with the restored live cache.
+    /// the `RwLock`, possibly mid-insertion; the recovery path must bring the
+    /// shared trie back to its load-time contents, clear the poison, and
+    /// keep the mirror snapshot consistent with the restored live cache.
     #[test]
     fn restore_baseline_recovers_a_poisoned_live_lock_to_the_loaded_contents() {
         let prog = figure1();
@@ -1136,11 +1339,16 @@ mod tests {
         let (_, _) = run_level(&prog, 0, false, Some(&mut cache));
         let loaded_bytes = cache.bytes();
         assert!(loaded_bytes > 0, "the level-0 interior must be non-empty");
+        let loaded = cache_to_bytes(&cache, KEY);
         let shared = SharedCache::of(cache);
 
         let unit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut live = shared.live().write().unwrap();
-            *live = ScheduleCache::new(1); // torn mid-update state
+            let (_, _) = run_level(&prog, 1, false, Some(&mut live));
+            // A torn insertion: a node appended and charged, never linked.
+            let op = live.ops[0];
+            live.push_node(&[op], None);
+            live.bytes += node_weight(1);
             panic!("engine died mid-insertion");
         }));
         assert!(unit.is_err());
@@ -1148,12 +1356,142 @@ mod tests {
 
         shared.restore_baseline();
         assert!(!shared.live().is_poisoned(), "recovery must clear poison");
+        assert!(shared.is_unchanged());
         assert_eq!(shared.with_live(|c| c.bytes()), loaded_bytes);
+        assert_eq!(shared.with_live(|c| cache_to_bytes(c, KEY)), loaded);
         assert_eq!(
             shared.mirror().bytes(),
             loaded_bytes,
             "the mirror must still describe the restored live contents"
         );
+    }
+
+    const KEY: u64 = 0x5eed;
+
+    /// Explore delay bounds `bounds` of `program` through the live trie of
+    /// `shared`.
+    fn grow_shared(program: &Program, shared: &SharedCache, bounds: std::ops::Range<u32>) {
+        let config = ExecConfig::all_visible();
+        let mut exec = Execution::new_shared(program, &config);
+        let mut buffers = ScheduleBuffers::default();
+        for bound in bounds {
+            let mut scheduler = BoundedDfs::new(Box::new(DelayBound), bound);
+            while scheduler.begin_execution() {
+                let live = CacheHandle::Shared(shared.live());
+                run_begun_schedule(&mut exec, &mut scheduler, live, &mut buffers, None);
+            }
+        }
+    }
+
+    fn edge_count(cache: &ScheduleCache, node: usize) -> usize {
+        cache.node_edges(&cache.nodes[node]).count()
+    }
+
+    /// Load `baseline` through the corpus format, grow it over `bounds`
+    /// (`grew` checks that the growth is the case under test), and require
+    /// the truncating `restore_baseline` to give back the load-time bytes.
+    /// Then grow the restored trie over `regrow` — a different visit order,
+    /// which appends different edges at the indices the first growth used —
+    /// and require the result to match growing a fresh load the same way.
+    fn assert_restores(
+        program: &Program,
+        baseline: &ScheduleCache,
+        bounds: std::ops::Range<u32>,
+        regrow: std::ops::Range<u32>,
+        grew: impl Fn(&ScheduleCache) -> bool,
+    ) {
+        let saved = cache_to_bytes(baseline, KEY);
+        let load = || {
+            let path = std::path::Path::new("baseline");
+            SharedCache::of(cache_from_bytes(&saved, KEY, path).expect("valid baseline"))
+        };
+        let shared = load();
+        assert!(shared.is_unchanged());
+        grow_shared(program, &shared, bounds);
+        assert!(!shared.is_unchanged(), "the growth must change the trie");
+        assert!(
+            shared.with_live(&grew),
+            "the growth misses the case under test"
+        );
+        shared.restore_baseline();
+        assert!(shared.is_unchanged());
+        assert_eq!(shared.with_live(|c| cache_to_bytes(c, KEY)), saved);
+        shared.with_live(|c| {
+            let inside = |e: u32| e == NONE || (e as usize) < c.edges.len();
+            assert!(
+                c.nodes.iter().all(|n| inside(n.first_edge))
+                    && c.edges.iter().all(|e| inside(e.next)),
+                "a link still points past the restored edge table"
+            );
+        });
+
+        grow_shared(program, &shared, regrow.clone());
+        let fresh = load();
+        grow_shared(program, &fresh, regrow);
+        assert_eq!(
+            shared.with_live(|c| cache_to_bytes(c, KEY)),
+            fresh.with_live(|c| cache_to_bytes(c, KEY)),
+            "a restored trie must grow exactly like a fresh load"
+        );
+    }
+
+    #[test]
+    fn restore_baseline_truncates_an_empty_baseline_back_to_empty() {
+        let prog = figure1();
+        assert_restores(&prog, &ScheduleCache::default(), 0..2, 2..3, |live| {
+            !live.nodes.is_empty()
+        });
+    }
+
+    #[test]
+    fn restore_baseline_unlinks_a_forced_node_extended_after_load() {
+        let prog = figure1();
+        // Find a byte cap whose truncated level-0 trie ends at a forced node
+        // (a truncated insert stops right after the node that crossed the
+        // cap, so that node has no edge yet), then lift the cap.
+        let (mut baseline, forced) = (1..10_000u64)
+            .find_map(|cap| {
+                let mut cache = ScheduleCache::new(cap);
+                let (_, _) = run_level(&prog, 0, false, Some(&mut cache));
+                let last = cache.nodes.len().checked_sub(1)?;
+                let node = &cache.nodes[last];
+                let open = cache.node_context(node).is_none() && node.first_edge == NONE;
+                open.then_some((cache, last))
+            })
+            .expect("some cap truncates the trie at a forced node");
+        baseline.max_bytes = DEFAULT_CACHE_BYTES;
+        baseline.full = false;
+        assert_restores(&prog, &baseline, 0..1, 1..2, |live| {
+            live.nodes[forced].first_edge != NONE
+        });
+    }
+
+    #[test]
+    fn restore_baseline_drops_edges_a_choice_node_gained_after_load() {
+        let prog = figure1();
+        let mut baseline = ScheduleCache::default();
+        let (_, _) = run_level(&prog, 0, false, Some(&mut baseline));
+        let choices: Vec<usize> = (0..baseline.nodes.len())
+            .filter(|&n| baseline.node_context(&baseline.nodes[n]).is_some())
+            .collect();
+        assert!(!choices.is_empty());
+        let before: Vec<usize> = choices.iter().map(|&n| edge_count(&baseline, n)).collect();
+        assert_restores(&prog, &baseline, 1..2, 2..3, |live| {
+            choices
+                .iter()
+                .zip(&before)
+                .any(|(&n, &had)| edge_count(live, n) > had)
+        });
+    }
+
+    #[test]
+    fn restore_baseline_reopens_a_trie_that_went_full_after_load() {
+        let prog = figure1();
+        let mut baseline = ScheduleCache::default();
+        let (_, _) = run_level(&prog, 0, false, Some(&mut baseline));
+        baseline.max_bytes = baseline.bytes + 1;
+        assert!(!baseline.is_full());
+        assert_restores(&prog, &baseline, 1..2, 2..3, ScheduleCache::is_full);
     }
 
     #[test]
@@ -1163,16 +1501,17 @@ mod tests {
         let mut exec = Execution::new_shared(&prog, &config);
         let mut cache = ScheduleCache::default();
         let mut replay = CacheReplay::new(DEFAULT_CACHE_BYTES);
+        let (mut buffers, mut trace) = (ScheduleBuffers::default(), VisitTrace::default());
         for bound in 0..3u32 {
             let mut scheduler = BoundedDfs::new(Box::new(DelayBound), bound);
             while scheduler.begin_execution() {
-                let (_, trace) = run_begun_schedule(
+                run_begun_schedule(
                     &mut exec,
                     &mut scheduler,
                     CacheHandle::Local(&mut cache),
-                    true,
+                    &mut buffers,
+                    Some(&mut trace),
                 );
-                let trace = trace.expect("trace requested");
                 replay.apply(&trace.schedule, &trace.enabled_counts);
             }
         }

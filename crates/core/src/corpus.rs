@@ -33,7 +33,9 @@
 //! [`SharedCache`](crate::cache::SharedCache) — see `crate::explore` — which
 //! keeps the resumed statistics deterministic at any worker count.
 
-use crate::cache::{node_weight, Link, Node, ScheduleCache, TerminalDigest, TERMINAL_BYTES};
+use crate::cache::{
+    node_weight, Link, Node, PointContext, ScheduleCache, TerminalDigest, NONE, TERMINAL_BYTES,
+};
 use crate::fault::{self, FaultKind};
 use sct_ir::{Loc, Program, TemplateId};
 use sct_runtime::{
@@ -309,28 +311,30 @@ fn get_op(r: &mut Reader<'_>) -> Decode<PendingOp> {
     })
 }
 
-fn put_point(w: &mut Writer, point: &SchedulingPoint) {
-    w.u64(point.enabled.len() as u64);
-    for &t in &point.enabled {
-        put_thread(w, t);
+/// A choice point in the format of a [`SchedulingPoint`]: its enabled
+/// threads are the threads of its (index-parallel) pending summaries.
+fn put_point(w: &mut Writer, context: &PointContext, ops: &[PendingOp]) {
+    w.u64(ops.len() as u64);
+    for op in ops {
+        put_thread(w, op.thread);
     }
-    match point.last {
+    match context.last {
         None => w.u8(0),
         Some(t) => {
             w.u8(1);
             put_thread(w, t);
         }
     }
-    w.u8(point.last_enabled as u8);
-    w.u64(point.num_threads as u64);
-    w.u64(point.step_index as u64);
-    w.u64(point.pending.len() as u64);
-    for op in &point.pending {
+    w.u8(context.last_enabled as u8);
+    w.u64(context.num_threads as u64);
+    w.u64(context.step_index as u64);
+    w.u64(ops.len() as u64);
+    for op in ops {
         put_op(w, op);
     }
 }
 
-fn get_point(r: &mut Reader<'_>) -> Decode<SchedulingPoint> {
+fn get_point(r: &mut Reader<'_>) -> Decode<(PointContext, Vec<PendingOp>)> {
     let n = r.len(8)?;
     let mut enabled = Vec::with_capacity(n);
     for _ in 0..n {
@@ -349,14 +353,22 @@ fn get_point(r: &mut Reader<'_>) -> Decode<SchedulingPoint> {
     for _ in 0..n {
         pending.push(get_op(r)?);
     }
-    Ok(SchedulingPoint {
-        enabled,
+    if !pending
+        .iter()
+        .map(|op| op.thread)
+        .eq(enabled.iter().copied())
+    {
+        return Err(format!(
+            "pending summaries not index-parallel to the enabled threads at step {step_index}"
+        ));
+    }
+    let context = PointContext {
         last,
         last_enabled,
         num_threads,
         step_index,
-        pending,
-    })
+    };
+    Ok((context, pending))
 }
 
 fn put_bug(w: &mut Writer, bug: &Bug) {
@@ -539,33 +551,37 @@ fn get_link(r: &mut Reader<'_>) -> Decode<Link> {
     })
 }
 
-fn put_node(w: &mut Writer, node: &Node) {
-    match node {
-        Node::Forced { op, next } => {
+fn put_node(w: &mut Writer, cache: &ScheduleCache, node: &Node) {
+    let ops = cache.node_ops(node);
+    let mut edges = cache.node_edges(node);
+    match cache.node_context(node) {
+        None => {
             w.u8(0);
-            put_op(w, op);
-            match next {
+            put_op(w, &ops[0]);
+            match edges.next() {
                 None => w.u8(0),
-                Some(link) => {
+                Some(edge) => {
                     w.u8(1);
-                    put_link(w, *link);
+                    put_link(w, edge.link);
                 }
             }
         }
-        Node::Choice { point, edges } => {
+        Some(context) => {
             w.u8(1);
-            put_point(w, point);
-            w.u64(edges.len() as u64);
-            for &(t, link) in edges {
-                put_thread(w, t);
-                put_link(w, link);
+            put_point(w, context, ops);
+            w.u64(edges.clone().count() as u64);
+            for edge in edges {
+                put_thread(w, edge.thread);
+                put_link(w, edge.link);
             }
         }
     }
 }
 
-fn get_node(r: &mut Reader<'_>) -> Decode<Node> {
-    Ok(match r.u8()? {
+/// Decode one node and its edges, appending them to `cache`.
+fn get_node(r: &mut Reader<'_>, cache: &mut ScheduleCache) -> Decode<()> {
+    let n = cache.nodes.len();
+    match r.u8()? {
         0 => {
             let op = get_op(r)?;
             let next = match r.u8()? {
@@ -573,20 +589,24 @@ fn get_node(r: &mut Reader<'_>) -> Decode<Node> {
                 1 => Some(get_link(r)?),
                 v => return Err(format!("invalid option tag {v} for forced edge")),
             };
-            Node::Forced { op, next }
+            cache.push_node(&[op], None);
+            if let Some(link) = next {
+                cache.push_edge(n, NONE, op.thread, link);
+            }
         }
         1 => {
-            let point = get_point(r)?;
-            let n = r.len(13)?;
-            let mut edges = Vec::with_capacity(n);
-            for _ in 0..n {
+            let (context, ops) = get_point(r)?;
+            cache.push_node(&ops, Some(context));
+            let count = r.len(13)?;
+            let mut tail = NONE;
+            for _ in 0..count {
                 let t = get_thread(r)?;
-                edges.push((t, get_link(r)?));
+                tail = cache.push_edge(n, tail, t, get_link(r)?);
             }
-            Node::Choice { point, edges }
         }
         v => return Err(format!("invalid node tag {v}")),
-    })
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -604,7 +624,7 @@ pub fn cache_to_bytes(cache: &ScheduleCache, key: u64) -> Vec<u8> {
     w.u8(cache.full as u8);
     w.u64(cache.nodes.len() as u64);
     for node in &cache.nodes {
-        put_node(&mut w, node);
+        put_node(&mut w, cache, node);
     }
     w.u64(cache.terminals.len() as u64);
     for d in &cache.terminals {
@@ -646,25 +666,20 @@ pub fn cache_from_bytes(data: &[u8], key: u64, path: &Path) -> Result<ScheduleCa
     // of the format: a loaded trie starts a fresh session over durable
     // content, which also keeps serialize→load→serialize byte-stable.
     let parse = |r: &mut Reader<'_>| -> Decode<ScheduleCache> {
-        let max_bytes = r.u64()?;
-        let bytes = r.u64()?;
-        let full = r.bool()?;
+        let mut cache = ScheduleCache::new(r.u64()?);
+        cache.bytes = r.u64()?;
+        cache.full = r.bool()?;
         let n = r.len(2)?;
-        let mut nodes = Vec::with_capacity(n);
+        cache.nodes.reserve_exact(n);
         for _ in 0..n {
-            nodes.push(get_node(r)?);
+            get_node(r, &mut cache)?;
         }
         let n = r.len(2)?;
-        let mut terminals = Vec::with_capacity(n);
+        cache.terminals.reserve_exact(n);
         for _ in 0..n {
-            terminals.push(get_digest(r)?);
+            cache.terminals.push(get_digest(r)?);
         }
         r.finish()?;
-        let mut cache = ScheduleCache::new(max_bytes);
-        cache.nodes = nodes;
-        cache.terminals = terminals;
-        cache.bytes = bytes;
-        cache.full = full;
         Ok(cache)
     };
     let cache = parse(&mut r).map_err(&corrupted)?;
@@ -688,22 +703,12 @@ fn validate_cache(cache: &ScheduleCache) -> Decode<()> {
             )),
         }
     };
+    for edge in &cache.edges {
+        check(&edge.link)?;
+    }
     let mut recomputed = 0u64;
     for node in &cache.nodes {
-        match node {
-            Node::Forced { next, .. } => {
-                recomputed += node_weight(1);
-                if let Some(link) = next {
-                    check(link)?;
-                }
-            }
-            Node::Choice { point, edges } => {
-                recomputed += node_weight(point.enabled.len());
-                for (_, link) in edges {
-                    check(link)?;
-                }
-            }
-        }
+        recomputed += node_weight(cache.node_ops(node).len());
     }
     recomputed += terminals as u64 * TERMINAL_BYTES;
     if recomputed != cache.bytes {
@@ -1117,7 +1122,7 @@ impl Corpus {
 mod tests {
     use super::*;
     use crate::bounds::DelayBound;
-    use crate::cache::{run_begun_schedule, CacheHandle};
+    use crate::cache::{run_begun_schedule, CacheHandle, ScheduleBuffers};
     use crate::dfs::BoundedDfs;
     use crate::scheduler::Scheduler;
     use sct_ir::prelude::*;
@@ -1153,6 +1158,7 @@ mod tests {
     fn explored_cache(program: &Program, config: &ExecConfig, bounds: u32) -> ScheduleCache {
         let mut cache = ScheduleCache::default();
         let mut exec = Execution::new_shared(program, config);
+        let mut buffers = ScheduleBuffers::default();
         for bound in 0..=bounds {
             let mut scheduler = BoundedDfs::new(Box::new(DelayBound), bound);
             while scheduler.begin_execution() {
@@ -1160,7 +1166,8 @@ mod tests {
                     &mut exec,
                     &mut scheduler,
                     CacheHandle::Local(&mut cache),
-                    false,
+                    &mut buffers,
+                    None,
                 );
             }
         }
@@ -1192,6 +1199,17 @@ mod tests {
         assert_eq!(cache_to_bytes(&loaded, key), data);
         // And the loaded trie serves the same buggy schedules.
         assert_eq!(loaded.buggy_schedules(), cache.buggy_schedules());
+    }
+
+    #[test]
+    fn the_buggy_terminal_count_matches_the_buggy_schedules_of_a_loaded_trie() {
+        let prog = figure1();
+        let config = ExecConfig::all_visible();
+        let key = corpus_key("figure1", &config);
+        let data = cache_to_bytes(&explored_cache(&prog, &config, 2), key);
+        let loaded = cache_from_bytes(&data, key, Path::new("mem")).expect("round trip");
+        assert!(loaded.buggy_terminals() > 0, "figure1's bug is in the trie");
+        assert_eq!(loaded.buggy_terminals(), loaded.buggy_schedules().len());
     }
 
     #[test]

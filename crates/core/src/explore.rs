@@ -12,8 +12,8 @@
 
 use crate::bounds::BoundKind;
 use crate::cache::{
-    self, CacheHandle, CacheReplay, ScheduleCache, ScheduleRun, SharedCache, TerminalDigest,
-    VisitTrace,
+    self, CacheHandle, CacheReplay, ScheduleBuffers, ScheduleCache, ScheduleRun, SharedCache,
+    TerminalDigest, VisitTrace,
 };
 use crate::dfs::BoundedDfs;
 use crate::maple::MapleLikeScheduler;
@@ -223,8 +223,6 @@ pub(crate) struct Visit {
     pub executed: bool,
     /// A sleep-blocked completion, which no driver counts as a schedule.
     pub redundant: bool,
-    /// The visit footprint, present when the caller asked for one.
-    pub trace: Option<VisitTrace>,
 }
 
 /// A search that yields terminal schedules one at a time, in serial visit
@@ -234,9 +232,10 @@ pub(crate) struct Visit {
 pub(crate) trait Search {
     /// Prepare the next schedule; `false` once the search is exhausted.
     fn begin(&mut self) -> bool;
-    /// Complete the schedule [`Search::begin`] prepared. Inline bounded
-    /// searches walk and grow `cache`; the others ignore it.
-    fn complete(&mut self, cache: CacheHandle<'_>, want_trace: bool) -> Visit;
+    /// Complete the schedule [`Search::begin`] prepared, writing its visit
+    /// footprint into `trace` when one is given. Inline bounded searches
+    /// walk and grow `cache`; the others ignore it.
+    fn complete(&mut self, cache: CacheHandle<'_>, trace: Option<&mut VisitTrace>) -> Visit;
     /// Partial-order-reduction counters `(slept, pruned_by_sleep)` so far.
     fn sleep_counters(&self) -> (u64, u64);
     /// Whether the search has been exhausted.
@@ -259,7 +258,7 @@ impl Search for Driven<'_, '_> {
         self.scheduler.begin_execution()
     }
 
-    fn complete(&mut self, _cache: CacheHandle<'_>, _want_trace: bool) -> Visit {
+    fn complete(&mut self, _cache: CacheHandle<'_>, _trace: Option<&mut VisitTrace>) -> Visit {
         self.exec.reset();
         let scheduler = &mut *self.scheduler;
         let outcome = self
@@ -270,7 +269,6 @@ impl Search for Driven<'_, '_> {
             run: ScheduleRun::Executed(outcome),
             executed: true,
             redundant: scheduler.current_execution_redundant(),
-            trace: None,
         }
     }
 
@@ -296,6 +294,8 @@ impl Search for Driven<'_, '_> {
 struct Bounded<'e, 'p> {
     exec: &'e mut Execution<'p>,
     dfs: &'e mut BoundedDfs,
+    /// Reused by every schedule of the driver, across bound levels.
+    buffers: &'e mut ScheduleBuffers,
 }
 
 impl Search for Bounded<'_, '_> {
@@ -303,13 +303,12 @@ impl Search for Bounded<'_, '_> {
         self.dfs.begin_execution()
     }
 
-    fn complete(&mut self, cache: CacheHandle<'_>, want_trace: bool) -> Visit {
-        let (run, trace) = cache::run_begun_schedule(self.exec, self.dfs, cache, want_trace);
+    fn complete(&mut self, cache: CacheHandle<'_>, trace: Option<&mut VisitTrace>) -> Visit {
+        let run = cache::run_begun_schedule(self.exec, self.dfs, cache, self.buffers, trace);
         Visit {
             executed: matches!(run, ScheduleRun::Executed(_)),
             run,
             redundant: self.dfs.current_execution_redundant(),
-            trace,
         }
     }
 
@@ -358,6 +357,8 @@ struct Tally<'a> {
     live: Option<&'a RwLock<ScheduleCache>>,
     /// Receives the terminal digest of every counted schedule, in order.
     digests: Option<&'a mut Vec<TerminalDigest>>,
+    /// The visit footprint a mirror replays, reused across schedules.
+    trace: VisitTrace,
 }
 
 impl<'a> Tally<'a> {
@@ -380,6 +381,7 @@ impl<'a> Tally<'a> {
             counters,
             live,
             digests: None,
+            trace: VisitTrace::default(),
         }
     }
 
@@ -443,21 +445,15 @@ impl<'a> Tally<'a> {
     /// says when there is one (the live trie is shared, so what it did is
     /// not deterministic), whether the search executed it otherwise.
     fn complete(&mut self, search: &mut impl Search) -> Visit {
-        let want_trace = matches!(self.counters, Counters::Mirror(_));
-        let cache = match (&mut self.counters, self.live) {
-            (Counters::Local(c), _) => CacheHandle::Local(c),
-            (_, Some(live)) => CacheHandle::Shared(live),
-            _ => CacheHandle::Off,
+        let shared = self.live.map_or(CacheHandle::Off, CacheHandle::Shared);
+        let (cache, trace) = match &mut self.counters {
+            Counters::Local(c) => (CacheHandle::Local(c), None),
+            Counters::Mirror(_) => (shared, Some(&mut self.trace)),
+            Counters::Off => (shared, None),
         };
-        let visit = search.complete(cache, want_trace);
+        let visit = search.complete(cache, trace);
         let executed = match &mut self.counters {
-            Counters::Mirror(m) => {
-                let t = visit
-                    .trace
-                    .as_ref()
-                    .expect("mirrored drivers request traces");
-                !m.apply(&t.schedule, &t.enabled_counts)
-            }
+            Counters::Mirror(m) => !m.apply(&self.trace.schedule, &self.trace.enabled_counts),
             _ => visit.executed,
         };
         if executed {
@@ -597,6 +593,7 @@ pub(crate) fn explore_dfs(
     tally.explore(&mut Bounded {
         exec: &mut exec,
         dfs: &mut dfs,
+        buffers: &mut ScheduleBuffers::default(),
     })
 }
 
@@ -687,6 +684,7 @@ pub fn iterative_bounding(
     };
     let mut tally = Tally::new(program, limits, label.to_string(), counters, live);
     let mut exec = Execution::new_shared(program, config);
+    let mut buffers = ScheduleBuffers::default();
     let mut stopped = false;
     let mut degradation_reported = false;
     for bound in 0..=limits.max_bound {
@@ -700,6 +698,7 @@ pub fn iterative_bounding(
             let mut search = Bounded {
                 exec: &mut exec,
                 dfs: &mut dfs,
+                buffers: &mut buffers,
             };
             run_level(&mut tally, &mut search, kind, bound)
         };

@@ -65,7 +65,9 @@
 //! cut-offs.
 
 use crate::bounds::BoundKind;
-use crate::cache::{self, CacheHandle, ScheduleCache, ScheduleRun, TerminalDigest, VisitTrace};
+use crate::cache::{
+    self, CacheHandle, ScheduleBuffers, ScheduleCache, ScheduleRun, TerminalDigest, VisitTrace,
+};
 use crate::dfs::{BoundedDfs, SubtreeSeed};
 use crate::explore::{self, ExploreLimits, Search, Visit};
 use crate::scheduler::Scheduler;
@@ -276,6 +278,7 @@ const PRODUCER_WINDOW: usize = 4 * EMIT_BATCH;
 fn worker(ctx: &WorkerCtx<'_>, who: u64) {
     let engine = ctx.engine;
     let mut exec = Execution::new_shared(ctx.program, ctx.config);
+    let mut buffers = ScheduleBuffers::default();
     'tasks: loop {
         let (task_id, seed) = {
             let mut st = engine.state.lock().expect("engine state poisoned");
@@ -376,7 +379,14 @@ fn worker(ctx: &WorkerCtx<'_>, who: u64) {
                 Some(lock) => (CacheHandle::Shared(lock), true),
                 None => (CacheHandle::Off, false),
             };
-            let (run, trace) = cache::run_begun_schedule(&mut exec, &mut sched, handle, want_trace);
+            let mut trace = want_trace.then(VisitTrace::default);
+            let run = cache::run_begun_schedule(
+                &mut exec,
+                &mut sched,
+                handle,
+                &mut buffers,
+                trace.as_mut(),
+            );
             let (slept_now, pruned_by_sleep_now) = sched.sleep_counters();
             let bound_prunes_now = sched.bound_prune_count();
             batch.push(Entry::Item(Some(Item {
@@ -543,18 +553,22 @@ impl Search for Stolen<'_> {
         }
     }
 
-    fn complete(&mut self, _cache: CacheHandle<'_>, _want_trace: bool) -> Visit {
+    fn complete(&mut self, _cache: CacheHandle<'_>, trace: Option<&mut VisitTrace>) -> Visit {
         let item = self
             .begun
             .take()
             .expect("complete follows a successful begin");
         self.pruned_by_sleep += item.ran_pruned_by_sleep;
         self.pruned |= item.ran_bound_prunes > 0;
+        if let Some(out) = trace {
+            *out = item
+                .trace
+                .expect("workers ship traces when a trie is shared");
+        }
         Visit {
             run: ScheduleRun::Served(item.digest),
             executed: item.executed,
             redundant: item.redundant,
-            trace: item.trace,
         }
     }
 

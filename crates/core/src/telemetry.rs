@@ -207,7 +207,8 @@ pub enum Event {
         /// Buggy schedules already recorded in it.
         buggy_schedules: u64,
     },
-    /// The corpus trie and bug corpus were saved (`--corpus-dir`).
+    /// The corpus trie and bug corpus were saved (`--corpus-dir`). A resume
+    /// that added nothing saves nothing and emits no such event.
     CorpusSaved {
         /// Registry name.
         benchmark: String,

@@ -8,6 +8,7 @@ use sct_race::{race_detection_phase, RacePhaseConfig};
 use sct_runtime::ExecConfig;
 use sctbench::{all_benchmarks, BenchmarkSpec};
 use std::any::Any;
+use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
@@ -97,10 +98,12 @@ pub struct HarnessConfig {
     pub benchmark_deadline: Option<Duration>,
     /// Campaign checkpoint cadence (`--checkpoint-every`): with
     /// [`HarnessConfig::corpus_dir`] set, a background thread autosaves the
-    /// benchmark's shared trie this often — and once at teardown — so a
-    /// SIGKILLed study resumes from the last checkpoint rather than from the
-    /// previous completed benchmark. `None` disables mid-run checkpoints;
-    /// the final save when the benchmark completes always happens.
+    /// benchmark's shared trie this often, so a SIGKILLed study resumes from
+    /// the last checkpoint rather than from the previous completed
+    /// benchmark. Checkpoints are periodic only: the teardown write is the
+    /// benchmark's final save, which happens whenever the trie changed (a
+    /// resume that added nothing finds its artifacts already on disk).
+    /// `None` disables mid-run checkpoints.
     pub checkpoint_every: Option<Duration>,
     /// The telemetry handle every pipeline stage emits events through.
     /// `Telemetry::off()` (the default) makes each emission a no-op whose
@@ -137,11 +140,11 @@ impl Default for HarnessConfig {
 }
 
 /// Background autosave of a campaign benchmark's shared trie: a thread that
-/// saves every `every` and once more when told to stop, so each campaign
-/// benchmark checkpoints at least once and a kill at any point loses at most
-/// `every` of exploration. Dropping the handle stops and joins the thread —
-/// always before the benchmark's final save, so the two never race on the
-/// artifact's temporary file.
+/// saves every `every`, so a kill at any point loses at most `every` of
+/// exploration. Stopping does not save: the benchmark's final save follows
+/// at once with the same bytes, or is skipped because they are already on
+/// disk. Dropping the handle stops and joins the thread — always before the
+/// final save, so the two never race on the artifact's temporary file.
 struct Checkpointer {
     stop: Arc<(Mutex<bool>, Condvar)>,
     handle: Option<thread::JoinHandle<()>>,
@@ -167,10 +170,11 @@ impl Checkpointer {
                     .unwrap_or_else(|e| e.into_inner());
                 *guard
             };
-            // Save even on the stop signal (it is the same bytes the final
-            // save is about to publish, one rename apart). A failing
-            // checkpoint is best-effort by design: the retry loop inside
-            // `save_cache` already absorbed transient errors, and a
+            if stopped {
+                break;
+            }
+            // A failing checkpoint is best-effort by design: the retry loop
+            // inside `save_cache` already absorbed transient errors, and a
             // persistent one will surface from the benchmark's final save.
             let (saved, bytes, schedules) = shared.with_live(|cache| {
                 (
@@ -185,9 +189,6 @@ impl Checkpointer {
                     bytes,
                     schedules,
                 });
-            }
-            if stopped {
-                break;
             }
         });
         Checkpointer {
@@ -205,6 +206,22 @@ impl Drop for Checkpointer {
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
+    }
+}
+
+/// Whether `benchmark`'s bug corpus is at least as new as its trie. The
+/// final save writes the trie and then the bugs; a checkpoint writes only
+/// the trie. A bug file that is missing or older than the trie therefore
+/// means a run was killed after a checkpoint, and the trie may hold bugs the
+/// file lacks.
+fn bugs_up_to_date(corpus: &Corpus, benchmark: &str) -> bool {
+    let modified = |path: PathBuf| fs::metadata(path).and_then(|m| m.modified()).ok();
+    match (
+        modified(corpus.cache_path(benchmark)),
+        modified(corpus.bugs_path(benchmark)),
+    ) {
+        (Some(trie), Some(bugs)) => bugs >= trie,
+        _ => false,
     }
 }
 
@@ -343,9 +360,12 @@ pub fn study_techniques(config: &HarnessConfig) -> Vec<Technique> {
 /// Run the full pipeline (race detection + every technique) on a single
 /// benchmark. With [`HarnessConfig::corpus_dir`] set, the benchmark's trie
 /// is loaded (on `resume`) before the techniques run and saved — together
-/// with its harvested, minimized bug corpus — after they finish; corpus
-/// errors (unreadable directory, corrupt or mismatched artifact) abort the
-/// benchmark rather than silently degrading to a cold one-shot run.
+/// with its harvested, minimized bug corpus — after they finish, unless the
+/// run was a resume that added nothing to a trie whose bug corpus is up to
+/// date: both files then already hold exactly the bytes a save would write.
+/// Corpus errors (unreadable directory, corrupt or mismatched artifact)
+/// abort the benchmark rather than silently degrading to a cold one-shot
+/// run.
 pub fn run_benchmark(
     spec: &BenchmarkSpec,
     config: &HarnessConfig,
@@ -407,6 +427,7 @@ pub fn run_benchmark(
         None => None,
     };
     let key = corpus_key(spec.name, &exec_config);
+    let mut resumed = false;
     let shared = match &corpus {
         Some(c) => {
             let loaded = match config.resume {
@@ -414,10 +435,11 @@ pub fn run_benchmark(
                 false => None,
             };
             if let Some(cache) = &loaded {
+                resumed = true;
                 config.telemetry.emit(|| Event::CorpusLoaded {
                     benchmark: spec.name.to_string(),
                     bytes: cache.bytes(),
-                    buggy_schedules: cache.buggy_schedules().len() as u64,
+                    buggy_schedules: cache.buggy_terminals() as u64,
                 });
             }
             Some(Arc::new(SharedCache::of(loaded.unwrap_or_default())))
@@ -433,7 +455,8 @@ pub fn run_benchmark(
     let caching = config.cache || shared.is_some();
     // Crash-safe checkpointing: in campaign mode, autosave the shared trie
     // on a cadence so a SIGKILL mid-benchmark only loses the tail since the
-    // last checkpoint. Stopped (via drop) before the final save below.
+    // last checkpoint. Stopped (via drop) before the final save below, which
+    // is the one teardown write.
     let checkpointer = match (&corpus, &shared, config.checkpoint_every) {
         (Some(c), Some(shared), Some(every)) => Some(Checkpointer::spawn(
             c.clone(),
@@ -514,32 +537,39 @@ pub fn run_benchmark(
     drop(checkpointer);
 
     if let (Some(c), Some(shared)) = (&corpus, &shared) {
-        let (saved, records, trie_bytes) = shared.with_live(|cache| {
-            (
-                c.save_cache(spec.name, key, cache),
-                harvest_bugs(&program, &exec_config, cache),
-                cache.bytes(),
-            )
-        });
-        saved?;
-        for r in &records {
-            config.telemetry.emit(|| Event::BugRecorded {
-                benchmark: spec.name.to_string(),
-                bug: r.bug.to_string(),
-                decisions: r.prefix.len() as u64,
-                prefix: r.prefix.iter().map(|t| t.0 as u64).collect(),
+        // Re-saves are byte-stable, so a resumed trie that nothing was added
+        // to is already on disk byte for byte, and so is its bug corpus when
+        // no later checkpoint overtook it: skip the save, the harvest and
+        // the bug save.
+        let on_disk = resumed && shared.is_unchanged() && bugs_up_to_date(c, spec.name);
+        if !on_disk {
+            let (saved, records, trie_bytes) = shared.with_live(|cache| {
+                (
+                    c.save_cache(spec.name, key, cache),
+                    harvest_bugs(&program, &exec_config, cache),
+                    cache.bytes(),
+                )
             });
+            saved?;
+            for r in &records {
+                config.telemetry.emit(|| Event::BugRecorded {
+                    benchmark: spec.name.to_string(),
+                    bug: r.bug.to_string(),
+                    decisions: r.prefix.len() as u64,
+                    prefix: r.prefix.iter().map(|t| t.0 as u64).collect(),
+                });
+            }
+            config.telemetry.emit(|| Event::CorpusSaved {
+                benchmark: spec.name.to_string(),
+                bytes: trie_bytes,
+                bugs: records.len() as u64,
+            });
+            c.save_bugs(&BugCorpus {
+                benchmark: spec.name.to_string(),
+                config: exec_config.clone(),
+                records,
+            })?;
         }
-        config.telemetry.emit(|| Event::CorpusSaved {
-            benchmark: spec.name.to_string(),
-            bytes: trie_bytes,
-            bugs: records.len() as u64,
-        });
-        c.save_bugs(&BugCorpus {
-            benchmark: spec.name.to_string(),
-            config: exec_config.clone(),
-            records,
-        })?;
     }
 
     config.telemetry.emit(|| Event::BenchmarkFinish {
@@ -885,12 +915,139 @@ mod tests {
             .iter()
             .filter(|l| l.contains("\"type\":\"checkpoint_saved\""))
             .count();
-        assert!(checkpoints >= 1, "the teardown checkpoint always fires");
+        assert!(
+            checkpoints >= 1,
+            "a 1 ms cadence fires during a benchmark that runs for many"
+        );
         // The checkpointed artifact must be a valid, resumable trie.
         let mut resumed = cfg.clone();
         resumed.resume = true;
         run_benchmark(&spec, &resumed).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_clean_resume_writes_nothing_and_a_grown_resume_still_saves() {
+        use sct_core::telemetry::BufferRecorder;
+        use sct_core::{fault, FaultKind};
+        // reorder_3_bad is used by no other corpus test in this crate, and
+        // the armed fault is scoped to this test's own artifact path.
+        let spec = benchmark_by_name("CS.reorder_3_bad").unwrap();
+        let base =
+            std::env::temp_dir().join(format!("sct-harness-clean-resume-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&base);
+        let mut cold = quick_config();
+        cold.workers = 1; // serial techniques: insertion order, and so bytes, are fixed
+        cold.corpus_dir = Some(base.join("corpus"));
+        run_benchmark(&spec, &cold).unwrap();
+        let corpus = Corpus::open(base.join("corpus")).unwrap();
+        let (trie, bugs) = (corpus.cache_path(spec.name), corpus.bugs_path(spec.name));
+        let cold_artifacts = (fs::read(&trie).unwrap(), fs::read(&bugs).unwrap());
+
+        let buffer = Arc::new(BufferRecorder::default());
+        // A checkpointer runs but never reaches its cadence: stopping it must
+        // not save either.
+        let resumed = HarnessConfig {
+            resume: true,
+            checkpoint_every: Some(Duration::from_secs(3600)),
+            telemetry: Telemetry::new(vec![Box::new(Arc::clone(&buffer))]),
+            ..cold.clone()
+        };
+        let grown = HarnessConfig {
+            schedule_limit: 2 * cold.schedule_limit,
+            telemetry: Telemetry::off(),
+            ..resumed.clone()
+        };
+        {
+            // Every attempt of the first trie save fails: only a run that
+            // attempts no save can succeed.
+            let scope = trie.to_string_lossy();
+            let _fault = fault::arm_times(FaultKind::WriteFail, &scope, 1, 3);
+            run_benchmark(&spec, &resumed).expect("a clean resume attempts no save");
+            let lines = buffer.lines();
+            assert!(lines
+                .iter()
+                .any(|l| l.contains("\"type\":\"corpus_loaded\"")));
+            for event in ["corpus_saved", "bug_recorded", "checkpoint_saved"] {
+                let tag = format!("\"type\":\"{event}\"");
+                assert!(!lines.iter().any(|l| l.contains(&tag)), "{event} emitted");
+            }
+            // A resume at a higher limit grows the trie, so it must save.
+            let err = run_benchmark(&spec, &grown).expect_err("a changed trie is saved");
+            assert!(err.to_string().contains(fault::INJECTED), "{err}");
+        }
+        let artifacts = || (fs::read(&trie).unwrap(), fs::read(&bugs).unwrap());
+        assert!(
+            artifacts() == cold_artifacts,
+            "a failed save left the old files"
+        );
+
+        // Without the fault the grown resume publishes exactly what a
+        // fault-free cold pass and grown resume publish.
+        run_benchmark(&spec, &grown).unwrap();
+        let reference = Corpus::open(base.join("reference")).unwrap();
+        let reference_cold = HarnessConfig {
+            corpus_dir: Some(reference.dir().to_path_buf()),
+            ..cold.clone()
+        };
+        run_benchmark(&spec, &reference_cold).unwrap();
+        let reference_grown = HarnessConfig {
+            corpus_dir: Some(reference.dir().to_path_buf()),
+            ..grown.clone()
+        };
+        run_benchmark(&spec, &reference_grown).unwrap();
+        assert!(
+            artifacts().0 != cold_artifacts.0,
+            "the grown resume added schedules"
+        );
+        assert!(
+            artifacts()
+                == (
+                    fs::read(reference.cache_path(spec.name)).unwrap(),
+                    fs::read(reference.bugs_path(spec.name)).unwrap()
+                ),
+            "the retried save differs from a fault-free run"
+        );
+        let _ = fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn a_clean_resume_rewrites_a_bug_corpus_a_checkpoint_overtook() {
+        let spec = benchmark_by_name("CS.reorder_4_bad").unwrap();
+        let base =
+            std::env::temp_dir().join(format!("sct-harness-stale-bugs-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&base);
+        let mut cold = quick_config();
+        cold.workers = 1;
+        cold.corpus_dir = Some(base.clone());
+        run_benchmark(&spec, &cold).unwrap();
+        let corpus = Corpus::open(&base).unwrap();
+        let bugs = corpus.bugs_path(spec.name);
+        let cold_bugs = fs::read(&bugs).unwrap();
+        let resumed = HarnessConfig {
+            resume: true,
+            ..cold.clone()
+        };
+
+        // A run killed before its first final save leaves a trie and no bug
+        // file; one killed after a later checkpoint leaves a bug file older
+        // than the trie. Either way the resume harvests and saves again.
+        fs::remove_file(&bugs).unwrap();
+        run_benchmark(&spec, &resumed).unwrap();
+        assert_eq!(fs::read(&bugs).unwrap(), cold_bugs);
+
+        let hour_ago = std::time::SystemTime::now() - Duration::from_secs(3600);
+        let file = fs::File::options().write(true).open(&bugs).unwrap();
+        file.set_modified(hour_ago).unwrap();
+        drop(file);
+        run_benchmark(&spec, &resumed).unwrap();
+        let modified = fs::metadata(&bugs).unwrap().modified().unwrap();
+        assert!(
+            modified > hour_ago,
+            "the stale bug corpus was not rewritten"
+        );
+        assert_eq!(fs::read(&bugs).unwrap(), cold_bugs);
+        let _ = fs::remove_dir_all(&base);
     }
 
     #[test]

@@ -471,11 +471,14 @@ fn bounding_exploration_sets(
     u64,
     Option<u32>,
 )> {
-    use sct::core::cache::{run_begun_schedule, CacheHandle, ScheduleCache, ScheduleRun};
+    use sct::core::cache::{
+        run_begun_schedule, CacheHandle, ScheduleBuffers, ScheduleCache, ScheduleRun,
+    };
     use sct::runtime::Execution;
     let config = ExecConfig::all_visible();
     let mut exec = Execution::new_shared(program, &config);
     let mut cache = cached.then(ScheduleCache::default);
+    let mut buffers = ScheduleBuffers::default();
     let mut bugs = std::collections::BTreeSet::new();
     let mut fingerprints = std::collections::BTreeSet::new();
     let mut executions = 0u64;
@@ -487,7 +490,7 @@ fn bounding_exploration_sets(
                 Some(c) => CacheHandle::Local(c),
                 None => CacheHandle::Off,
             };
-            let (run, _) = run_begun_schedule(&mut exec, &mut scheduler, handle, false);
+            let run = run_begun_schedule(&mut exec, &mut scheduler, handle, &mut buffers, None);
             if matches!(run, ScheduleRun::Executed(_)) {
                 executions += 1;
                 if executions > cap {

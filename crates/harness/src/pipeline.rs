@@ -900,29 +900,69 @@ mod tests {
     #[test]
     fn campaign_checkpoints_fire_at_least_once_and_produce_a_loadable_trie() {
         use sct_core::telemetry::BufferRecorder;
+        // Drive the checkpointer directly over a trie that one technique
+        // filled, so the test never races a benchmark that can finish before
+        // the first tick of the cadence.
         let dir =
             std::env::temp_dir().join(format!("sct-harness-checkpoint-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let buffer = Arc::new(BufferRecorder::default());
-        let mut cfg = quick_config();
-        cfg.corpus_dir = Some(dir.clone());
-        cfg.checkpoint_every = Some(Duration::from_millis(1));
-        cfg.telemetry = Telemetry::new(vec![Box::new(Arc::clone(&buffer))]);
         let spec = benchmark_by_name("CS.lazy01_bad").unwrap();
-        run_benchmark(&spec, &cfg).unwrap();
-        let checkpoints = buffer
-            .lines()
-            .iter()
-            .filter(|l| l.contains("\"type\":\"checkpoint_saved\""))
-            .count();
+        let mut cfg = quick_config();
+        cfg.use_race_phase = false; // all-visible: the corpus key needs no race phase
+        cfg.corpus_dir = Some(dir.clone());
+        let exec_config = ExecConfig::all_visible();
+        let shared = Arc::new(SharedCache::of(Default::default()));
+        let limits = ExploreLimits::with_schedule_limit(cfg.schedule_limit)
+            .with_shared_cache(Some(Arc::clone(&shared)));
+        explore::run_technique(
+            &spec.program(),
+            &exec_config,
+            Technique::IterativePreemptionBounding,
+            &limits,
+        );
+        assert!(shared.with_live(|cache| cache.insertions()) > 0);
+
+        let buffer = Arc::new(BufferRecorder::default());
+        let saved = |lines: &[String]| {
+            lines
+                .iter()
+                .filter(|l| l.contains("\"type\":\"checkpoint_saved\""))
+                .count()
+        };
+        let checkpointer = Checkpointer::spawn(
+            Corpus::open(&dir).unwrap(),
+            spec.name.to_string(),
+            corpus_key(spec.name, &exec_config),
+            Arc::clone(&shared),
+            Telemetry::new(vec![Box::new(Arc::clone(&buffer))]),
+            Duration::from_millis(1),
+        );
+        let waited = Instant::now();
+        while saved(&buffer.lines()) == 0 && waited.elapsed() < Duration::from_secs(10) {
+            thread::sleep(Duration::from_millis(1));
+        }
+        drop(checkpointer);
+        let checkpoints = saved(&buffer.lines());
         assert!(
             checkpoints >= 1,
-            "a 1 ms cadence fires during a benchmark that runs for many"
+            "a 1 ms cadence fires within 10 s of the checkpointer starting"
         );
         // The checkpointed artifact must be a valid, resumable trie.
+        let resume_trace = Arc::new(BufferRecorder::default());
         let mut resumed = cfg.clone();
         resumed.resume = true;
+        resumed.telemetry = Telemetry::new(vec![Box::new(Arc::clone(&resume_trace))]);
         run_benchmark(&spec, &resumed).unwrap();
+        // It loads the last checkpoint's trie: the one write to the corpus.
+        fn bytes(line: &str) -> Option<&str> {
+            line.split("\"bytes\":").nth(1)?.split(',').next()
+        }
+        let (saves, loads) = (buffer.lines(), resume_trace.lines());
+        let loaded = loads
+            .iter()
+            .find(|l| l.contains("\"type\":\"corpus_loaded\""))
+            .expect("the resume loads the checkpointed trie");
+        assert_eq!(bytes(loaded), saves.last().and_then(|l| bytes(l)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -27,6 +27,10 @@ use std::borrow::Cow;
 /// schedules: the rewind reuses every internal allocation, including the
 /// per-thread state of previously spawned threads, instead of rebuilding a
 /// dozen `Vec`s per schedule.
+///
+/// Dispatch borrows from the `'p` program: each step fetches its instruction
+/// as a `&'p Instr` and executes it in place, so no step clones an
+/// instruction, an expression tree or an assertion message.
 pub struct Execution<'p> {
     program: &'p Program,
     config: Cow<'p, ExecConfig>,
@@ -245,7 +249,7 @@ impl<'p> Execution<'p> {
             | ThreadStatus::WaitingCondvar { .. }
             | ThreadStatus::WaitingBarrier { .. } => false,
             ThreadStatus::Reacquiring { mutex } => self.mutexes[mutex].is_free(),
-            ThreadStatus::Runnable => match self.pending_instr(tid) {
+            ThreadStatus::Runnable => match self.instr_at(tid) {
                 Some(Instr::Op { op }) => self.op_enabled(tid, op),
                 // A runnable thread is always parked at a visible operation
                 // (or at its first instruction before the execution starts).
@@ -278,7 +282,9 @@ impl<'p> Execution<'p> {
         }
     }
 
-    fn pending_instr(&self, tid: ThreadId) -> Option<&Instr> {
+    /// The instruction `tid` is parked at, borrowed from the program for
+    /// `'p` so the caller may go on mutating `self` while it executes it.
+    fn instr_at(&self, tid: ThreadId) -> Option<&'p Instr> {
         let t = &self.threads[tid.index()];
         self.program.templates[t.template.index()].body.get(t.pc)
     }
@@ -311,7 +317,7 @@ impl<'p> Execution<'p> {
             pc: t.pc.min(u32::MAX as usize) as u32,
         };
         let (addr, is_write) = match t.status {
-            ThreadStatus::Runnable => match self.pending_instr(tid) {
+            ThreadStatus::Runnable => match self.instr_at(tid) {
                 Some(Instr::Op { op }) => match op {
                     Op::Load { var, .. } => (self.resolve_var(tid, var).ok(), false),
                     Op::Store { var, .. } | Op::Rmw { var, .. } | Op::Cas { var, .. } => {
@@ -426,7 +432,7 @@ impl<'p> Execution<'p> {
 
     // ----- visibility -----
 
-    fn op_visible(&self, op: &Op, loc: Loc) -> bool {
+    fn op_visible(&self, op: &'p Op, loc: Loc) -> bool {
         if op.is_sync() || op.is_atomic_access() {
             return true;
         }
@@ -467,13 +473,10 @@ impl<'p> Execution<'p> {
             }
             let template = t.template;
             let pc = t.pc;
-            let instr = match self.program.templates[template.index()].body.get(pc) {
-                Some(i) => i.clone(),
-                None => {
-                    // Running off the end of the body terminates the thread.
-                    self.finish_thread(tid, observer);
-                    return;
-                }
+            let Some(instr) = self.instr_at(tid) else {
+                // Running off the end of the body terminates the thread.
+                self.finish_thread(tid, observer);
+                return;
             };
             match instr {
                 Instr::Halt => {
@@ -481,21 +484,21 @@ impl<'p> Execution<'p> {
                     return;
                 }
                 Instr::Goto { target } => {
-                    self.threads[tid.index()].pc = target;
+                    self.threads[tid.index()].pc = *target;
                 }
                 Instr::Branch { cond, target } => {
                     let v = cond.eval(&self.threads[tid.index()].locals);
-                    self.threads[tid.index()].pc = if v == 0 { target } else { pc + 1 };
+                    self.threads[tid.index()].pc = if v == 0 { *target } else { pc + 1 };
                 }
                 Instr::Op { op } => {
                     let loc = Loc {
                         template,
                         pc: pc as u32,
                     };
-                    if self.op_visible(&op, loc) {
+                    if self.op_visible(op, loc) {
                         return; // parked at a visible operation
                     }
-                    self.execute_invisible_op(tid, &op, loc, observer);
+                    self.execute_invisible_op(tid, op, loc, observer);
                     if self.bug.is_some() {
                         return;
                     }
@@ -513,7 +516,7 @@ impl<'p> Execution<'p> {
     fn execute_invisible_op(
         &mut self,
         tid: ThreadId,
-        op: &Op,
+        op: &'p Op,
         loc: Loc,
         observer: &mut dyn ExecObserver,
     ) {
@@ -582,13 +585,10 @@ impl<'p> Execution<'p> {
             return;
         }
 
-        let instr = match self.pending_instr(tid) {
-            Some(i) => i.clone(),
-            None => {
-                self.finish_thread(tid, observer);
-                self.last = Some(tid);
-                return;
-            }
+        let Some(instr) = self.instr_at(tid) else {
+            self.finish_thread(tid, observer);
+            self.last = Some(tid);
+            return;
         };
         let loc = self.loc_of(tid);
         self.last = Some(tid);
@@ -596,7 +596,7 @@ impl<'p> Execution<'p> {
         // the very first step of the initial thread may start here, so
         // non-`Op` instructions simply fall through to `advance`.
         if let Instr::Op { op } = instr {
-            self.execute_visible_op(tid, &op, loc, observer);
+            self.execute_visible_op(tid, op, loc, observer);
         }
         if self.bug.is_none() {
             self.advance(tid, observer);
@@ -606,7 +606,7 @@ impl<'p> Execution<'p> {
     fn execute_visible_op(
         &mut self,
         tid: ThreadId,
-        op: &Op,
+        op: &'p Op,
         loc: Loc,
         observer: &mut dyn ExecObserver,
     ) {

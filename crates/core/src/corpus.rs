@@ -1201,6 +1201,23 @@ mod tests {
         assert_eq!(loaded.buggy_schedules(), cache.buggy_schedules());
     }
 
+    /// figure1's delay-bound-2 trie (all accesses visible), encoded by the
+    /// format before the in-memory tables were packed. The round trip above
+    /// would also pass if encoding and decoding changed together; this pins
+    /// the bytes themselves.
+    const FIGURE1_BOUND2: &[u8] = include_bytes!("../testdata/figure1-bound2.trie.sctc");
+
+    #[test]
+    fn the_figure1_trie_encodes_to_the_committed_fixture() {
+        let prog = figure1();
+        let config = ExecConfig::all_visible();
+        let key = corpus_key("figure1", &config);
+        let cache = explored_cache(&prog, &config, 2);
+        assert!(cache_to_bytes(&cache, key) == FIGURE1_BOUND2, "trie bytes changed");
+        let loaded = cache_from_bytes(FIGURE1_BOUND2, key, Path::new("fixture")).expect("loads");
+        assert!(cache_to_bytes(&loaded, key) == FIGURE1_BOUND2, "re-encoding changed");
+    }
+
     #[test]
     fn the_buggy_terminal_count_matches_the_buggy_schedules_of_a_loaded_trie() {
         let prog = figure1();

@@ -41,9 +41,18 @@
 //! ([`node_weight`], [`TERMINAL_BYTES`]) and once the configured cap is
 //! reached the cache stops growing — misses simply execute for real, so a
 //! full cache degrades to the uncached search, never to an incorrect one.
+//!
+//! The tables are packed: an op is 16 bytes (four `u32`s, the address and
+//! write flag sharing one), a choice context 16 and an edge 12 (its link's
+//! top bit marks a terminal). Walks unpack each node into the scheduler's
+//! [`SchedulingPoint`]. The estimate is fixed by the corpus format, so it
+//! overstates the real tables: on the `CS.reorder` tries they take about
+//! 0.4× of it (0.35× on the largest; up to 0.63× on the smallest, whose
+//! 96-byte terminal digests weigh more).
 
 use crate::dfs::BoundedDfs;
 use crate::scheduler::Scheduler;
+use sct_ir::{Loc, TemplateId};
 use sct_runtime::{
     Bug, Execution, ExecutionOutcome, NoopObserver, PendingOp, SchedulingPoint, ThreadId,
 };
@@ -134,8 +143,20 @@ impl TerminalDigest {
     }
 }
 
-/// Index sentinel: no edge (and, in a [`CacheReplay`], a terminal target).
+/// Index sentinel: no edge.
 pub(crate) const NONE: u32 = u32::MAX;
+
+/// Top bit of a packed `u32`: the write flag of a [`PackedOp`], the terminal
+/// mark of an [`Edge`]'s link.
+const TOP: u32 = 1 << 31;
+
+/// Unwrap a value packed at insert time, where packing cannot fail: a
+/// thread id or step index of 2^32, an address of 2^31 − 1, or 2^31 nodes
+/// or terminals would each take tens of GiB (16 bytes per recorded step, 8
+/// per shared cell, 32 per node) before the value could be recorded.
+fn packed<T>(value: Option<T>) -> T {
+    value.expect("trie values fit their packed widths")
+}
 
 /// Outgoing edge target of a trie node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,26 +167,93 @@ pub(crate) enum Link {
     Terminal(u32),
 }
 
+/// A [`PendingOp`] in 16 bytes: `addr` holds the address + 1 (0: none) in
+/// its low 31 bits and the write flag in its top bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PackedOp {
+    thread: u32,
+    template: u32,
+    pc: u32,
+    addr: u32,
+}
+
+impl PackedOp {
+    /// `None` when the thread id is 2^32 or more, or the address 2^31 − 1
+    /// or more.
+    pub(crate) fn pack(op: &PendingOp) -> Option<Self> {
+        let addr = match op.addr {
+            None => 0,
+            Some(a) => u32::try_from(a).ok().filter(|&a| a < TOP - 1)? + 1,
+        };
+        Some(PackedOp {
+            thread: u32::try_from(op.thread.0).ok()?,
+            template: op.loc.template.0,
+            pc: op.loc.pc,
+            addr: addr | if op.is_write { TOP } else { 0 },
+        })
+    }
+
+    pub(crate) fn thread(self) -> ThreadId {
+        ThreadId(self.thread as usize)
+    }
+
+    pub(crate) fn unpack(self) -> PendingOp {
+        let addr = self.addr & !TOP;
+        PendingOp {
+            thread: self.thread(),
+            loc: Loc {
+                template: TemplateId(self.template),
+                pc: self.pc,
+            },
+            addr: (addr as usize).checked_sub(1),
+            is_write: self.addr & TOP != 0,
+        }
+    }
+}
+
 /// What a choice node keeps of its [`SchedulingPoint`] besides the enabled
-/// threads and their pending summaries. Those two live in the op arena:
-/// `pending` is index-parallel to `enabled`, so the enabled threads are the
-/// threads of the node's op range.
+/// threads and their pending summaries, in 16 bytes. Those two live in the
+/// op arena: `pending` is index-parallel to `enabled`, so the enabled
+/// threads are the threads of the node's op range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PointContext {
-    pub(crate) last: Option<ThreadId>,
+    /// The last thread; meaningless unless `has_last`.
+    last: u32,
+    pub(crate) num_threads: u32,
+    pub(crate) step_index: u32,
+    has_last: bool,
     pub(crate) last_enabled: bool,
-    pub(crate) num_threads: usize,
-    pub(crate) step_index: usize,
 }
 
 impl PointContext {
+    /// `None` when a thread id, the thread count or the step index is 2^32
+    /// or more.
+    pub(crate) fn pack(
+        last: Option<ThreadId>,
+        last_enabled: bool,
+        num_threads: usize,
+        step_index: usize,
+    ) -> Option<Self> {
+        Some(PointContext {
+            last: last.map_or(Some(0), |t| u32::try_from(t.0).ok())?,
+            num_threads: u32::try_from(num_threads).ok()?,
+            step_index: u32::try_from(step_index).ok()?,
+            has_last: last.is_some(),
+            last_enabled,
+        })
+    }
+
     fn of(point: &SchedulingPoint) -> Self {
-        PointContext {
-            last: point.last,
-            last_enabled: point.last_enabled,
-            num_threads: point.num_threads,
-            step_index: point.step_index,
-        }
+        packed(Self::pack(
+            point.last,
+            point.last_enabled,
+            point.num_threads,
+            point.step_index,
+        ))
+    }
+
+    pub(crate) fn last(&self) -> Option<ThreadId> {
+        self.has_last.then_some(ThreadId(self.last as usize))
     }
 }
 
@@ -186,14 +274,67 @@ pub(crate) struct Node {
     first_edge: u32,
 }
 
-/// One explored decision out of a node. A node's edges form a list through
-/// `next` in insertion order, which is the order the corpus format stores
-/// them in.
+/// One explored decision out of a node, in 12 bytes: `link` is the target's
+/// index with the top bit set for a terminal. A node's edges form a list
+/// through `next` in insertion order, which is the order the corpus format
+/// stores them in.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Edge {
-    pub(crate) thread: ThreadId,
-    pub(crate) link: Link,
+    thread: u32,
+    link: u32,
     next: u32,
+}
+
+impl Edge {
+    /// `None` when the thread id is 2^32 or more, or the index 2^31 or more.
+    pub(crate) fn pack(thread: ThreadId, link: Link) -> Option<Self> {
+        let link = match link {
+            Link::Interior(n) if n < TOP => n,
+            Link::Terminal(d) if d < TOP => d | TOP,
+            _ => return None,
+        };
+        Some(Edge {
+            thread: u32::try_from(thread.0).ok()?,
+            link,
+            next: NONE,
+        })
+    }
+
+    pub(crate) fn thread(&self) -> ThreadId {
+        ThreadId(self.thread as usize)
+    }
+
+    pub(crate) fn link(&self) -> Link {
+        match self.link & TOP {
+            0 => Link::Interior(self.link),
+            _ => Link::Terminal(self.link & !TOP),
+        }
+    }
+}
+
+/// The edge for decision `t` in the list that starts at `first`, and the
+/// list's last edge (where a new edge is appended; `NONE` when empty).
+fn find_edge(edges: &[Edge], first: u32, t: ThreadId) -> (Option<Link>, u32) {
+    let (mut at, mut tail) = (first, NONE);
+    while let Some(edge) = edges.get(at as usize) {
+        if edge.thread as usize == t.0 {
+            return (Some(edge.link()), tail);
+        }
+        (tail, at) = (at, edge.next);
+    }
+    (None, tail)
+}
+
+/// Append `edge` to the list whose head slot is `first` and whose last edge
+/// is `tail`; returns its index.
+fn append_edge(edges: &mut Vec<Edge>, first: &mut u32, tail: u32, edge: Edge) -> u32 {
+    let e = edges.len() as u32;
+    edges.push(edge);
+    match edges.get_mut(tail as usize) {
+        Some(prev) => prev.next = e,
+        None => *first = e,
+    }
+    e
 }
 
 /// Result of walking the trie for one schedule.
@@ -220,15 +361,18 @@ struct RecordedStep {
 /// by decision prefix, terminal digests keyed by full decision sequence. See
 /// the module documentation for how the exploration drivers use it.
 ///
-/// The trie lives in flat tables: nodes hold ranges into one shared
-/// [`PendingOp`] arena, and every edge lives in one edge array. Insertions
-/// only ever append to the tables and add links out of existing nodes, which
-/// is what lets [`SharedCache::restore_baseline`] roll back by truncation.
+/// The trie lives in flat, packed tables: nodes hold ranges into one shared
+/// arena of 16-byte ops, choice nodes index 16-byte contexts, and every edge
+/// lives in one array of 12-byte edges. [`ScheduleCache::bytes`] is the
+/// fixed estimate the corpus format records, not the tables' size, which is
+/// about 0.4× of it (see the module documentation). Insertions only ever append to the tables and add links
+/// out of existing nodes, which is what lets
+/// [`SharedCache::restore_baseline`] roll back by truncation.
 #[derive(Debug)]
 pub struct ScheduleCache {
     pub(crate) nodes: Vec<Node>,
-    ops: Vec<PendingOp>,
-    contexts: Vec<PointContext>,
+    pub(crate) ops: Vec<PackedOp>,
+    pub(crate) contexts: Vec<PointContext>,
     pub(crate) edges: Vec<Edge>,
     pub(crate) terminals: Vec<TerminalDigest>,
     pub(crate) bytes: u64,
@@ -294,7 +438,7 @@ impl ScheduleCache {
 
     /// The pending summaries of `node`, one per enabled thread in thread-id
     /// order.
-    pub(crate) fn node_ops(&self, node: &Node) -> &[PendingOp] {
+    pub(crate) fn node_ops(&self, node: &Node) -> &[PackedOp] {
         &self.ops[node.ops as usize..][..node.enabled as usize]
     }
 
@@ -313,22 +457,9 @@ impl ScheduleCache {
         })
     }
 
-    /// The edge out of node `node` for decision `t`, and the node's last
-    /// edge (where a new edge is appended; `NONE` when it has none).
-    fn find_edge(&self, node: usize, t: ThreadId) -> (Option<Link>, u32) {
-        let (mut at, mut tail) = (self.nodes[node].first_edge, NONE);
-        while let Some(edge) = self.edges.get(at as usize) {
-            if edge.thread == t {
-                return (Some(edge.link), tail);
-            }
-            (tail, at) = (at, edge.next);
-        }
-        (None, tail)
-    }
-
-    /// Append a node over `ops` (forced when `context` is `None`). The
-    /// caller charges its weight.
-    pub(crate) fn push_node(&mut self, ops: &[PendingOp], context: Option<PointContext>) -> u32 {
+    /// Append a node over the ops pushed onto the arena from `start` on
+    /// (forced when `context` is `None`). The caller charges its weight.
+    pub(crate) fn push_node(&mut self, start: usize, context: Option<PointContext>) -> u32 {
         let context = match context {
             None => NONE,
             Some(c) => {
@@ -337,35 +468,19 @@ impl ScheduleCache {
             }
         };
         self.nodes.push(Node {
-            ops: self.ops.len() as u32,
-            enabled: ops.len() as u32,
+            ops: start as u32,
+            enabled: (self.ops.len() - start) as u32,
             context,
             first_edge: NONE,
         });
-        self.ops.extend_from_slice(ops);
         self.nodes.len() as u32 - 1
     }
 
-    /// Append an edge out of `node` after `tail`, the node's current last
+    /// Append `edge` out of `node` after `tail`, the node's current last
     /// edge (`NONE` when it has none).
-    pub(crate) fn push_edge(
-        &mut self,
-        node: usize,
-        tail: u32,
-        thread: ThreadId,
-        link: Link,
-    ) -> u32 {
-        let e = self.edges.len() as u32;
-        self.edges.push(Edge {
-            thread,
-            link,
-            next: NONE,
-        });
-        match self.edges.get_mut(tail as usize) {
-            Some(prev) => prev.next = e,
-            None => self.nodes[node].first_edge = e,
-        }
-        e
+    pub(crate) fn push_edge(&mut self, node: usize, tail: u32, edge: Edge) -> u32 {
+        let first = &mut self.nodes[node].first_edge;
+        append_edge(&mut self.edges, first, tail, edge)
     }
 
     /// Every buggy schedule memoized in the trie: the full decision path and
@@ -387,15 +502,15 @@ impl ScheduleCache {
                 continue;
             };
             *at = edge.next;
-            match edge.link {
+            match edge.link() {
                 Link::Interior(n) => {
-                    path.push(edge.thread);
+                    path.push(edge.thread());
                     stack.push(self.nodes[n as usize].first_edge);
                 }
                 Link::Terminal(d) => {
                     let digest = &self.terminals[d as usize];
                     if digest.is_buggy() {
-                        path.push(edge.thread);
+                        path.push(edge.thread());
                         found.push((
                             path.clone(),
                             digest.bug.clone().expect("buggy digest has a bug"),
@@ -433,15 +548,15 @@ impl ScheduleCache {
             let node = &self.nodes[cursor];
             let ops = self.node_ops(node);
             point.enabled.clear();
-            point.enabled.extend(ops.iter().map(|op| op.thread));
+            point.enabled.extend(ops.iter().map(|op| op.thread()));
             point.pending.clear();
-            point.pending.extend_from_slice(ops);
+            point.pending.extend(ops.iter().map(|op| op.unpack()));
             match self.node_context(node) {
                 Some(c) => {
-                    point.last = c.last;
+                    point.last = c.last();
                     point.last_enabled = c.last_enabled;
-                    point.num_threads = c.num_threads;
-                    point.step_index = c.step_index;
+                    point.num_threads = c.num_threads as usize;
+                    point.step_index = c.step_index as usize;
                 }
                 None => {
                     // A forced node keeps no context. The synthesized fields
@@ -449,7 +564,7 @@ impl ScheduleCache {
                     // point: `round_robin_choice` returns the single enabled
                     // thread and both bound policies price it at zero,
                     // exactly as they do on the real forced point.
-                    let only = ops[0].thread;
+                    let only = ops[0].thread();
                     point.last = Some(only);
                     point.last_enabled = true;
                     point.num_threads = only.index() + 1;
@@ -458,14 +573,14 @@ impl ScheduleCache {
             }
             let chosen = scheduler.choose(point);
             debug_assert!(
-                node.context != NONE || chosen == ops[0].thread,
+                node.context != NONE || chosen == ops[0].thread(),
                 "forced node must pick its only thread"
             );
             if let Some(t) = trace.as_deref_mut() {
                 t.schedule.push(chosen);
                 t.enabled_counts.push(node.enabled);
             }
-            match self.find_edge(cursor, chosen).0 {
+            match find_edge(&self.edges, node.first_edge, chosen).0 {
                 Some(Link::Interior(n)) => {
                     cursor = n as usize;
                     depth += 1;
@@ -491,10 +606,12 @@ impl ScheduleCache {
     }
 
     /// Append the node recorded as `step`, charging its weight.
-    fn push_recorded(&mut self, step: &RecordedStep, ops: &[PendingOp]) -> u32 {
+    fn push_recorded(&mut self, step: &RecordedStep, ops: &[PackedOp]) -> u32 {
         self.bytes += node_weight(step.enabled as usize);
-        let range = &ops[step.ops as usize..][..step.enabled as usize];
-        self.push_node(range, step.context)
+        let start = self.ops.len();
+        self.ops
+            .extend_from_slice(&ops[step.ops as usize..][..step.enabled as usize]);
+        self.push_node(start, step.context)
     }
 
     /// Insert a completed execution: `schedule` is its full decision path,
@@ -517,7 +634,7 @@ impl ScheduleCache {
         schedule: &[ThreadId],
         miss_depth: usize,
         recorded: &[RecordedStep],
-        ops: &[PendingOp],
+        ops: &[PackedOp],
         digest: TerminalDigest,
     ) {
         if self.full || schedule.is_empty() {
@@ -536,7 +653,7 @@ impl ScheduleCache {
         let mut terminal = Some(digest);
         for (i, &t) in schedule.iter().enumerate() {
             let is_last = i + 1 == schedule.len();
-            let tail = match self.find_edge(cursor, t) {
+            let tail = match find_edge(&self.edges, self.nodes[cursor].first_edge, t) {
                 (Some(Link::Interior(n)), _) => {
                     debug_assert!(!is_last, "an interior edge cannot end a schedule");
                     cursor = n as usize;
@@ -551,7 +668,7 @@ impl ScheduleCache {
             };
             debug_assert!(
                 self.node_context(&self.nodes[cursor]).is_some()
-                    || self.node_ops(&self.nodes[cursor])[0].thread == t,
+                    || self.node_ops(&self.nodes[cursor])[0].thread() == t,
                 "a forced node's only edge is its thread's"
             );
             let link = if is_last {
@@ -565,7 +682,7 @@ impl ScheduleCache {
                 debug_assert!(depth >= miss_depth, "missing summary for cached prefix");
                 Link::Interior(self.push_recorded(&recorded[depth - miss_depth], ops))
             };
-            self.push_edge(cursor, tail, t, link);
+            self.push_edge(cursor, tail, packed(Edge::pack(t, link)));
             if let Link::Interior(n) = link {
                 cursor = n as usize;
             }
@@ -693,7 +810,7 @@ impl VisitTrace {
 pub struct ScheduleBuffers {
     point: SchedulingPoint,
     steps: Vec<RecordedStep>,
-    ops: Vec<PendingOp>,
+    ops: Vec<PackedOp>,
     schedule: Vec<ThreadId>,
 }
 
@@ -763,7 +880,7 @@ pub fn run_begun_schedule(
                     enabled: point.pending.len() as u32,
                     context: point.has_choice().then(|| PointContext::of(point)),
                 });
-                ops.extend_from_slice(&point.pending);
+                ops.extend(point.pending.iter().map(|op| packed(PackedOp::pack(op))));
             }
             step += 1;
             scheduler.choose(point)
@@ -784,16 +901,6 @@ pub fn run_begun_schedule(
     ScheduleRun::Executed(outcome)
 }
 
-/// One edge of a [`CacheReplay`] mirror.
-#[derive(Debug, Clone, Copy)]
-struct ReplayEdge {
-    thread: ThreadId,
-    /// Target node; `NONE` marks a terminal edge.
-    target: u32,
-    /// Next edge out of the same node, in insertion order (`NONE`: last).
-    next: u32,
-}
-
 /// A structure-only mirror of [`ScheduleCache`]: it tracks which decision
 /// paths the serial cache would hold — and the hit and byte counters it
 /// would report — without storing any point data. A driver whose live trie
@@ -804,14 +911,16 @@ struct ReplayEdge {
 /// users actually interleaved.
 ///
 /// The mirror is two flat arrays — the first edge of every node and one
-/// edge array, laid out index for index like the trie's — so cloning it is
-/// two memcpys and [`CacheReplay::apply`] allocates only when the mirror
-/// grows.
+/// array of the trie's 12-byte edges, laid out index for index like the
+/// trie's — so cloning it is two memcpys and [`CacheReplay::apply`]
+/// allocates only when the mirror grows.
 #[derive(Debug, Clone)]
 pub struct CacheReplay {
     /// First outgoing edge of every node, index into `edges` (`NONE`: none).
     first: Vec<u32>,
-    edges: Vec<ReplayEdge>,
+    /// The trie's edges. The mirror keeps no digests, so the index of a
+    /// terminal edge it appends is 0.
+    edges: Vec<Edge>,
     bytes: u64,
     max_bytes: u64,
     full: bool,
@@ -841,18 +950,7 @@ impl CacheReplay {
     pub fn from_cache(cache: &ScheduleCache) -> Self {
         CacheReplay {
             first: cache.nodes.iter().map(|n| n.first_edge).collect(),
-            edges: cache
-                .edges
-                .iter()
-                .map(|e| ReplayEdge {
-                    thread: e.thread,
-                    target: match e.link {
-                        Link::Interior(n) => n,
-                        Link::Terminal(_) => NONE,
-                    },
-                    next: e.next,
-                })
-                .collect(),
+            edges: cache.edges.clone(),
             bytes: cache.bytes,
             max_bytes: cache.max_bytes,
             full: cache.full,
@@ -876,19 +974,6 @@ impl CacheReplay {
         self.full
     }
 
-    /// The target of node `node`'s edge for `t` (`Some(NONE)`: a terminal
-    /// edge), and the node's last edge.
-    fn find(&self, node: usize, t: ThreadId) -> (Option<u32>, u32) {
-        let (mut at, mut tail) = (self.first[node], NONE);
-        while let Some(edge) = self.edges.get(at as usize) {
-            if edge.thread == t {
-                return (Some(edge.target), tail);
-            }
-            (tail, at) = (at, edge.next);
-        }
-        (None, tail)
-    }
-
     /// Replay one visited schedule. Returns `true` when the serial cache
     /// would have served it (a hit: no program execution), `false` when the
     /// serial driver would have executed it (the path is then inserted,
@@ -903,13 +988,13 @@ impl CacheReplay {
         if !self.first.is_empty() {
             for (i, &t) in schedule.iter().enumerate() {
                 let is_last = i + 1 == schedule.len();
-                match self.find(cursor, t) {
-                    (Some(NONE), _) => {
+                match find_edge(&self.edges, self.first[cursor], t) {
+                    (Some(Link::Terminal(_)), _) => {
                         debug_assert!(is_last);
                         self.hits += 1;
                         return true;
                     }
-                    (Some(n), _) => {
+                    (Some(Link::Interior(n)), _) => {
                         debug_assert!(!is_last);
                         cursor = n as usize;
                         matched = i + 1;
@@ -935,25 +1020,19 @@ impl CacheReplay {
         }
         for (i, &t) in schedule.iter().enumerate().skip(matched) {
             let is_last = i + 1 == schedule.len();
-            let target = if is_last {
+            let link = if is_last {
                 self.bytes += TERMINAL_BYTES;
-                NONE
+                Link::Terminal(0)
             } else {
                 self.bytes += node_weight(enabled_counts[i + 1] as usize);
                 self.first.push(NONE);
-                self.first.len() as u32 - 1
+                Link::Interior(self.first.len() as u32 - 1)
             };
-            let e = self.edges.len() as u32;
-            self.edges.push(ReplayEdge {
-                thread: t,
-                target,
-                next: NONE,
-            });
-            match self.edges.get_mut(tail as usize) {
-                Some(prev) => prev.next = e,
-                None => self.first[cursor] = e,
+            let edge = packed(Edge::pack(t, link));
+            append_edge(&mut self.edges, &mut self.first[cursor], tail, edge);
+            if let Link::Interior(n) = link {
+                (cursor, tail) = (n as usize, NONE);
             }
-            (cursor, tail) = (target as usize, NONE);
             if self.bytes >= self.max_bytes {
                 // Same per-node cap as [`ScheduleCache::insert`]: stop after
                 // the node that crossed the line.
@@ -1105,36 +1184,9 @@ mod tests {
     use crate::bounds::{BoundKind, DelayBound};
     use crate::corpus::{cache_from_bytes, cache_to_bytes};
     use crate::dfs::BoundedDfs;
+    use crate::testing::figure1;
     use sct_ir::prelude::*;
     use sct_runtime::ExecConfig;
-
-    /// Figure 1 of the paper.
-    fn figure1() -> Program {
-        let mut p = ProgramBuilder::new("figure1");
-        let x = p.global("x", 0);
-        let y = p.global("y", 0);
-        let z = p.global("z", 0);
-        let t1 = p.thread("t1", |b| {
-            b.store(x, 1);
-            b.store(y, 1);
-        });
-        let t2 = p.thread("t2", |b| {
-            b.store(z, 1);
-        });
-        let t3 = p.thread("t3", |b| {
-            let rx = b.local("rx");
-            let ry = b.local("ry");
-            b.load(x, rx);
-            b.load(y, ry);
-            b.assert_cond(eq(rx, ry), "x == y");
-        });
-        p.main(|b| {
-            b.spawn(t1);
-            b.spawn(t2);
-            b.spawn(t3);
-        });
-        p.build().unwrap()
-    }
 
     /// Drive one bound level through [`run_begun_schedule`], collecting the
     /// per-schedule (cost, buggy, fingerprint) triples of non-redundant
@@ -1346,8 +1398,9 @@ mod tests {
             let mut live = shared.live().write().unwrap();
             let (_, _) = run_level(&prog, 1, false, Some(&mut live));
             // A torn insertion: a node appended and charged, never linked.
-            let op = live.ops[0];
-            live.push_node(&[op], None);
+            let (op, start) = (live.ops[0], live.ops.len());
+            live.ops.push(op);
+            live.push_node(start, None);
             live.bytes += node_weight(1);
             panic!("engine died mid-insertion");
         }));
@@ -1492,6 +1545,57 @@ mod tests {
         baseline.max_bytes = baseline.bytes + 1;
         assert!(!baseline.is_full());
         assert_restores(&prog, &baseline, 1..2, 2..3, ScheduleCache::is_full);
+    }
+
+    /// The packed layout, in the spirit of `tests/allocations.rs`: 16-byte
+    /// ops and contexts, 12-byte edges in the trie and its mirror, tables
+    /// well under the byte estimate, and a decoded trie without growth slack.
+    #[test]
+    fn the_trie_tables_stay_packed() {
+        use std::mem::{size_of, size_of_val};
+        /// [bytes by length, bytes by capacity] of every table.
+        fn tables(c: &ScheduleCache) -> [usize; 2] {
+            fn sizes<T>(v: &Vec<T>) -> [usize; 2] {
+                [v.len(), v.capacity()].map(|n| n * size_of::<T>())
+            }
+            let (n, o, x, e) = (
+                sizes(&c.nodes),
+                sizes(&c.ops),
+                sizes(&c.contexts),
+                sizes(&c.edges),
+            );
+            let t = sizes(&c.terminals);
+            [0, 1].map(|i| n[i] + o[i] + x[i] + e[i] + t[i])
+        }
+        let sizes = [
+            size_of::<PackedOp>(),
+            size_of::<PointContext>(),
+            size_of::<Edge>(),
+        ];
+        assert_eq!(sizes, [16, 16, 12]);
+        // Four threads of three stores each: choice points over up to four
+        // threads, as in the SCTBench tries.
+        let mut p = ProgramBuilder::new("stores");
+        let x = p.global("x", 0);
+        let threads: Vec<_> = (0..4)
+            .map(|i| p.thread(format!("t{i}"), |b| (0..3).for_each(|v| b.store(x, v))))
+            .collect();
+        p.main(|b| threads.iter().for_each(|&t| b.spawn(t)));
+        let prog = p.build().unwrap();
+        let mut cache = ScheduleCache::default();
+        for bound in 0..3 {
+            run_level(&prog, bound, false, Some(&mut cache));
+        }
+        assert_eq!(size_of_val(&CacheReplay::from_cache(&cache).edges[0]), 12);
+        let [len, _] = tables(&cache);
+        assert!(
+            2 * len as u64 <= cache.bytes(),
+            "{len} table bytes for an estimate of {}",
+            cache.bytes()
+        );
+        let loaded = cache_from_bytes(&cache_to_bytes(&cache, KEY), KEY, "t".as_ref()).unwrap();
+        let [len, capacity] = tables(&loaded);
+        assert_eq!(capacity, len, "a decoded trie keeps growth slack");
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //! keeps the resumed statistics deterministic at any worker count.
 
 use crate::cache::{
-    node_weight, Link, Node, PointContext, ScheduleCache, TerminalDigest, NONE, TERMINAL_BYTES,
+    node_weight, Edge, Link, Node, PackedOp, PointContext, ScheduleCache, TerminalDigest, NONE,
+    TERMINAL_BYTES,
 };
 use crate::fault::{self, FaultKind};
 use sct_ir::{Loc, Program, TemplateId};
@@ -281,7 +282,8 @@ fn get_loc(r: &mut Reader<'_>) -> Decode<Loc> {
     })
 }
 
-fn put_op(w: &mut Writer, op: &PendingOp) {
+fn put_op(w: &mut Writer, op: PackedOp) {
+    let op = op.unpack();
     put_thread(w, op.thread);
     put_loc(w, op.loc);
     match op.addr {
@@ -294,7 +296,7 @@ fn put_op(w: &mut Writer, op: &PendingOp) {
     w.u8(op.is_write as u8);
 }
 
-fn get_op(r: &mut Reader<'_>) -> Decode<PendingOp> {
+fn get_op(r: &mut Reader<'_>) -> Decode<PackedOp> {
     let thread = get_thread(r)?;
     let loc = get_loc(r)?;
     let addr = match r.u8()? {
@@ -302,23 +304,23 @@ fn get_op(r: &mut Reader<'_>) -> Decode<PendingOp> {
         1 => Some(r.u64()? as usize),
         v => return Err(format!("invalid option tag {v} for pending-op address")),
     };
-    let is_write = r.bool()?;
-    Ok(PendingOp {
+    let op = PendingOp {
         thread,
         loc,
         addr,
-        is_write,
-    })
+        is_write: r.bool()?,
+    };
+    PackedOp::pack(&op).ok_or_else(|| format!("pending op {op:?} out of range"))
 }
 
 /// A choice point in the format of a [`SchedulingPoint`]: its enabled
 /// threads are the threads of its (index-parallel) pending summaries.
-fn put_point(w: &mut Writer, context: &PointContext, ops: &[PendingOp]) {
+fn put_point(w: &mut Writer, context: &PointContext, ops: &[PackedOp]) {
     w.u64(ops.len() as u64);
     for op in ops {
-        put_thread(w, op.thread);
+        put_thread(w, op.thread());
     }
-    match context.last {
+    match context.last() {
         None => w.u8(0),
         Some(t) => {
             w.u8(1);
@@ -329,17 +331,15 @@ fn put_point(w: &mut Writer, context: &PointContext, ops: &[PendingOp]) {
     w.u64(context.num_threads as u64);
     w.u64(context.step_index as u64);
     w.u64(ops.len() as u64);
-    for op in ops {
+    for &op in ops {
         put_op(w, op);
     }
 }
 
-fn get_point(r: &mut Reader<'_>) -> Decode<(PointContext, Vec<PendingOp>)> {
+/// Decode a choice point, appending its pending summaries to the op arena.
+fn get_point(r: &mut Reader<'_>, ops: &mut Vec<PackedOp>) -> Decode<PointContext> {
     let n = r.len(8)?;
-    let mut enabled = Vec::with_capacity(n);
-    for _ in 0..n {
-        enabled.push(get_thread(r)?);
-    }
+    let mut enabled = Reader::new(r.take(n * 8)?);
     let last = match r.u8()? {
         0 => None,
         1 => Some(get_thread(r)?),
@@ -348,27 +348,19 @@ fn get_point(r: &mut Reader<'_>) -> Decode<(PointContext, Vec<PendingOp>)> {
     let last_enabled = r.bool()?;
     let num_threads = r.u64()? as usize;
     let step_index = r.u64()? as usize;
-    let n = r.len(18)?;
-    let mut pending = Vec::with_capacity(n);
-    for _ in 0..n {
-        pending.push(get_op(r)?);
+    let context = PointContext::pack(last, last_enabled, num_threads, step_index)
+        .ok_or_else(|| format!("choice context at step {step_index} out of range"))?;
+    for _ in 0..r.len(18)? {
+        let op = get_op(r)?;
+        if op.thread() != get_thread(&mut enabled)? {
+            return Err(format!(
+                "pending summaries not index-parallel to the enabled threads at step {step_index}"
+            ));
+        }
+        ops.push(op);
     }
-    if !pending
-        .iter()
-        .map(|op| op.thread)
-        .eq(enabled.iter().copied())
-    {
-        return Err(format!(
-            "pending summaries not index-parallel to the enabled threads at step {step_index}"
-        ));
-    }
-    let context = PointContext {
-        last,
-        last_enabled,
-        num_threads,
-        step_index,
-    };
-    Ok((context, pending))
+    enabled.finish()?;
+    Ok(context)
 }
 
 fn put_bug(w: &mut Writer, bug: &Bug) {
@@ -543,12 +535,14 @@ fn put_link(w: &mut Writer, link: Link) {
     }
 }
 
-fn get_link(r: &mut Reader<'_>) -> Decode<Link> {
-    Ok(match r.u8()? {
+/// An edge for decision `thread` over a decoded link.
+fn get_edge(r: &mut Reader<'_>, thread: ThreadId) -> Decode<Edge> {
+    let link = match r.u8()? {
         0 => Link::Interior(r.u32()?),
         1 => Link::Terminal(r.u32()?),
         v => return Err(format!("invalid link tag {v}")),
-    })
+    };
+    Edge::pack(thread, link).ok_or_else(|| format!("edge {thread:?} -> {link:?} out of range"))
 }
 
 fn put_node(w: &mut Writer, cache: &ScheduleCache, node: &Node) {
@@ -557,12 +551,12 @@ fn put_node(w: &mut Writer, cache: &ScheduleCache, node: &Node) {
     match cache.node_context(node) {
         None => {
             w.u8(0);
-            put_op(w, &ops[0]);
+            put_op(w, ops[0]);
             match edges.next() {
                 None => w.u8(0),
                 Some(edge) => {
                     w.u8(1);
-                    put_link(w, edge.link);
+                    put_link(w, edge.link());
                 }
             }
         }
@@ -571,8 +565,8 @@ fn put_node(w: &mut Writer, cache: &ScheduleCache, node: &Node) {
             put_point(w, context, ops);
             w.u64(edges.clone().count() as u64);
             for edge in edges {
-                put_thread(w, edge.thread);
-                put_link(w, edge.link);
+                put_thread(w, edge.thread());
+                put_link(w, edge.link());
             }
         }
     }
@@ -580,28 +574,29 @@ fn put_node(w: &mut Writer, cache: &ScheduleCache, node: &Node) {
 
 /// Decode one node and its edges, appending them to `cache`.
 fn get_node(r: &mut Reader<'_>, cache: &mut ScheduleCache) -> Decode<()> {
-    let n = cache.nodes.len();
+    let (n, start) = (cache.nodes.len(), cache.ops.len());
     match r.u8()? {
         0 => {
             let op = get_op(r)?;
             let next = match r.u8()? {
                 0 => None,
-                1 => Some(get_link(r)?),
+                1 => Some(get_edge(r, op.thread())?),
                 v => return Err(format!("invalid option tag {v} for forced edge")),
             };
-            cache.push_node(&[op], None);
-            if let Some(link) = next {
-                cache.push_edge(n, NONE, op.thread, link);
+            cache.ops.push(op);
+            cache.push_node(start, None);
+            if let Some(edge) = next {
+                cache.push_edge(n, NONE, edge);
             }
         }
         1 => {
-            let (context, ops) = get_point(r)?;
-            cache.push_node(&ops, Some(context));
+            let context = get_point(r, &mut cache.ops)?;
+            cache.push_node(start, Some(context));
             let count = r.len(13)?;
             let mut tail = NONE;
             for _ in 0..count {
                 let t = get_thread(r)?;
-                tail = cache.push_edge(n, tail, t, get_link(r)?);
+                tail = cache.push_edge(n, tail, get_edge(r, t)?);
             }
         }
         v => return Err(format!("invalid node tag {v}")),
@@ -680,6 +675,11 @@ pub fn cache_from_bytes(data: &[u8], key: u64, path: &Path) -> Result<ScheduleCa
             cache.terminals.push(get_digest(r)?);
         }
         r.finish()?;
+        // A resumed trie carries no doubling slack: its tables stay at the
+        // size they were loaded at until an insertion grows them.
+        cache.ops.shrink_to_fit();
+        cache.contexts.shrink_to_fit();
+        cache.edges.shrink_to_fit();
         Ok(cache)
     };
     let cache = parse(&mut r).map_err(&corrupted)?;
@@ -688,27 +688,45 @@ pub fn cache_from_bytes(data: &[u8], key: u64, path: &Path) -> Result<ScheduleCa
 }
 
 /// Structural integrity of a freshly decoded trie: every link lands inside
-/// the node/terminal tables, and recomputing the byte estimate from the nodes
+/// the node/terminal tables and every interior link points forward, a
+/// choice node's enabled threads strictly increase and each of its edges
+/// takes one of them, and recomputing the byte estimate from the nodes
 /// reproduces the stored accounting (so a bit flip in either is caught).
 fn validate_cache(cache: &ScheduleCache) -> Decode<()> {
     let nodes = cache.nodes.len();
     let terminals = cache.terminals.len();
-    let check = |link: &Link| -> Decode<()> {
-        match *link {
-            Link::Interior(n) if (n as usize) < nodes => Ok(()),
-            Link::Terminal(d) if (d as usize) < terminals => Ok(()),
-            Link::Interior(n) => Err(format!("interior link {n} out of bounds ({nodes} nodes)")),
-            Link::Terminal(d) => Err(format!(
-                "terminal link {d} out of bounds ({terminals} terminals)"
-            )),
-        }
-    };
-    for edge in &cache.edges {
-        check(&edge.link)?;
-    }
     let mut recomputed = 0u64;
-    for node in &cache.nodes {
-        recomputed += node_weight(cache.node_ops(node).len());
+    for (from, node) in cache.nodes.iter().enumerate() {
+        for edge in cache.node_edges(node) {
+            match edge.link() {
+                // An insertion appends a node before linking to it, so a
+                // link back would close a cycle that walks and bug harvests
+                // follow without end.
+                Link::Interior(n) if from < n as usize && (n as usize) < nodes => {}
+                Link::Terminal(d) if (d as usize) < terminals => {}
+                link => {
+                    return Err(format!(
+                        "{link:?} out of node {from} is out of bounds ({nodes} nodes, \
+                         {terminals} terminals) or points back"
+                    ))
+                }
+            }
+        }
+        let ops = cache.node_ops(node);
+        recomputed += node_weight(ops.len());
+        if cache.node_context(node).is_none() {
+            continue;
+        }
+        if ops.len() < 2 || ops.windows(2).any(|w| w[0].thread() >= w[1].thread()) {
+            return Err("a choice node's enabled threads do not strictly increase".into());
+        }
+        let enabled = |e: &&Edge| ops.iter().any(|op| op.thread() == e.thread());
+        if let Some(e) = cache.node_edges(node).find(|e| !enabled(e)) {
+            return Err(format!(
+                "an edge for {:?} leaves a choice node that never enabled it",
+                e.thread()
+            ));
+        }
     }
     recomputed += terminals as u64 * TERMINAL_BYTES;
     if recomputed != cache.bytes {
@@ -1125,35 +1143,7 @@ mod tests {
     use crate::cache::{run_begun_schedule, CacheHandle, ScheduleBuffers};
     use crate::dfs::BoundedDfs;
     use crate::scheduler::Scheduler;
-    use sct_ir::prelude::*;
-
-    /// Figure 1 of the paper: a bug that needs one specific interleaving.
-    fn figure1() -> Program {
-        let mut p = ProgramBuilder::new("figure1");
-        let x = p.global("x", 0);
-        let y = p.global("y", 0);
-        let z = p.global("z", 0);
-        let t1 = p.thread("t1", |b| {
-            b.store(x, 1);
-            b.store(y, 1);
-        });
-        let t2 = p.thread("t2", |b| {
-            b.store(z, 1);
-        });
-        let t3 = p.thread("t3", |b| {
-            let rx = b.local("rx");
-            let ry = b.local("ry");
-            b.load(x, rx);
-            b.load(y, ry);
-            b.assert_cond(eq(rx, ry), "x == y");
-        });
-        p.main(|b| {
-            b.spawn(t1);
-            b.spawn(t2);
-            b.spawn(t3);
-        });
-        p.build().unwrap()
-    }
+    use crate::testing::figure1;
 
     fn explored_cache(program: &Program, config: &ExecConfig, bounds: u32) -> ScheduleCache {
         let mut cache = ScheduleCache::default();
@@ -1181,6 +1171,12 @@ mod tests {
         dir
     }
 
+    /// figure1's delay-bound-2 trie (all accesses visible), encoded by the
+    /// format before the in-memory tables were packed. A round trip would
+    /// also pass if encoding and decoding changed together; this pins the
+    /// bytes themselves.
+    const FIGURE1_BOUND2: &[u8] = include_bytes!("../testdata/figure1-bound2.trie.sctc");
+
     #[test]
     fn trie_round_trips_through_the_binary_format() {
         let prog = figure1();
@@ -1189,6 +1185,10 @@ mod tests {
         assert!(cache.bytes() > 0 && !cache.terminals.is_empty());
         let key = corpus_key("figure1", &config);
         let data = cache_to_bytes(&cache, key);
+        assert!(
+            data == FIGURE1_BOUND2,
+            "the encoding differs from the fixture"
+        );
         let loaded = cache_from_bytes(&data, key, Path::new("mem")).expect("round trip");
         assert_eq!(loaded.bytes(), cache.bytes());
         assert_eq!(loaded.is_full(), cache.is_full());
@@ -1199,23 +1199,6 @@ mod tests {
         assert_eq!(cache_to_bytes(&loaded, key), data);
         // And the loaded trie serves the same buggy schedules.
         assert_eq!(loaded.buggy_schedules(), cache.buggy_schedules());
-    }
-
-    /// figure1's delay-bound-2 trie (all accesses visible), encoded by the
-    /// format before the in-memory tables were packed. The round trip above
-    /// would also pass if encoding and decoding changed together; this pins
-    /// the bytes themselves.
-    const FIGURE1_BOUND2: &[u8] = include_bytes!("../testdata/figure1-bound2.trie.sctc");
-
-    #[test]
-    fn the_figure1_trie_encodes_to_the_committed_fixture() {
-        let prog = figure1();
-        let config = ExecConfig::all_visible();
-        let key = corpus_key("figure1", &config);
-        let cache = explored_cache(&prog, &config, 2);
-        assert!(cache_to_bytes(&cache, key) == FIGURE1_BOUND2, "trie bytes changed");
-        let loaded = cache_from_bytes(FIGURE1_BOUND2, key, Path::new("fixture")).expect("loads");
-        assert!(cache_to_bytes(&loaded, key) == FIGURE1_BOUND2, "re-encoding changed");
     }
 
     #[test]
@@ -1274,6 +1257,59 @@ mod tests {
         let mut bad = good.clone();
         bad[24] ^= 0x40; // inside the stored `bytes` field
         assert!(cache_from_bytes(&bad, key, p).is_err());
+
+        // No flip of any byte of a trie panics the decoder, and whatever it
+        // accepts is an acyclic trie that encodes back to the flipped bytes.
+        // Every check the decoder makes rejects some flips but the
+        // enabled-order one (the next case covers it), so the count of
+        // accepted flips pins them.
+        let mut accepted = 0;
+        for i in 0..FIGURE1_BOUND2.len() {
+            for mask in [0x01u8, 0x10, 0x80, 0xff] {
+                let mut flipped = FIGURE1_BOUND2.to_vec();
+                flipped[i] ^= mask;
+                let flip = format!("byte {i} ^ {mask:#04x}");
+                let decoded = std::panic::catch_unwind(|| cache_from_bytes(&flipped, key, p))
+                    .unwrap_or_else(|_| panic!("{flip} panicked the decoder"));
+                let Ok(c) = decoded else { continue };
+                accepted += 1;
+                assert!(
+                    cache_to_bytes(&c, key) == flipped,
+                    "{flip} re-encodes differently"
+                );
+                for (from, node) in c.nodes.iter().enumerate() {
+                    let forward = |e: &Edge| match e.link() {
+                        Link::Interior(to) => to as usize > from,
+                        Link::Terminal(_) => true,
+                    };
+                    assert!(c.node_edges(node).all(forward), "{flip} links back");
+                }
+            }
+        }
+        assert_eq!(accepted, 10_109, "flips of the fixture the decoder accepts");
+
+        // A choice node whose first two ops trade threads stays
+        // index-parallel, but its enabled threads no longer increase.
+        let mut bad = cache_from_bytes(FIGURE1_BOUND2, key, p).expect("the fixture loads");
+        let choice = bad.nodes.iter().position(|n| bad.node_context(n).is_some());
+        let at: usize = bad.nodes[..choice.expect("figure1 has a choice")]
+            .iter()
+            .map(|n| bad.node_ops(n).len())
+            .sum();
+        let (a, b) = (bad.ops[at], bad.ops[at + 1]);
+        let with = |op: PackedOp, t: PackedOp| {
+            PackedOp::pack(&PendingOp {
+                thread: t.thread(),
+                ..op.unpack()
+            })
+            .expect("a figure1 op packs")
+        };
+        (bad.ops[at], bad.ops[at + 1]) = (with(a, b), with(b, a));
+        let result = cache_from_bytes(&cache_to_bytes(&bad, key), key, p);
+        assert!(
+            matches!(&result, Err(CorpusError::Corrupted { detail, .. }) if detail.contains("strictly")),
+            "out-of-order enabled threads were accepted"
+        );
     }
 
     #[test]

@@ -586,6 +586,7 @@ impl Scheduler for BoundedDfs {
 mod tests {
     use super::*;
     use crate::bounds::{DelayBound, PreemptionBound};
+    use crate::testing::figure1;
     use sct_ir::prelude::*;
     use sct_runtime::{ExecConfig, Execution, NoopObserver};
 
@@ -627,34 +628,6 @@ mod tests {
         p.main(|b| {
             b.spawn(t1);
             b.spawn(t2);
-        });
-        p.build().unwrap()
-    }
-
-    /// Figure 1 of the paper.
-    fn figure1() -> Program {
-        let mut p = ProgramBuilder::new("figure1");
-        let x = p.global("x", 0);
-        let y = p.global("y", 0);
-        let z = p.global("z", 0);
-        let t1 = p.thread("t1", |b| {
-            b.store(x, 1);
-            b.store(y, 1);
-        });
-        let t2 = p.thread("t2", |b| {
-            b.store(z, 1);
-        });
-        let t3 = p.thread("t3", |b| {
-            let rx = b.local("rx");
-            let ry = b.local("ry");
-            b.load(x, rx);
-            b.load(y, ry);
-            b.assert_cond(eq(rx, ry), "x == y");
-        });
-        p.main(|b| {
-            b.spawn(t1);
-            b.spawn(t2);
-            b.spawn(t3);
         });
         p.build().unwrap()
     }

@@ -101,3 +101,37 @@ pub mod prelude {
     pub use crate::steal::{self, explore_bounded_stealing, explore_bounded_stealing_digests};
     pub use crate::telemetry::{self, Event, Recorder, Telemetry};
 }
+
+/// Programs the unit tests share.
+#[cfg(test)]
+pub(crate) mod testing {
+    use sct_ir::prelude::*;
+
+    /// Figure 1 of the paper: the bug needs one preemption (or one delay).
+    pub(crate) fn figure1() -> Program {
+        let mut p = ProgramBuilder::new("figure1");
+        let x = p.global("x", 0);
+        let y = p.global("y", 0);
+        let z = p.global("z", 0);
+        let t1 = p.thread("t1", |b| {
+            b.store(x, 1);
+            b.store(y, 1);
+        });
+        let t2 = p.thread("t2", |b| {
+            b.store(z, 1);
+        });
+        let t3 = p.thread("t3", |b| {
+            let rx = b.local("rx");
+            let ry = b.local("ry");
+            b.load(x, rx);
+            b.load(y, ry);
+            b.assert_cond(eq(rx, ry), "x == y");
+        });
+        p.main(|b| {
+            b.spawn(t1);
+            b.spawn(t2);
+            b.spawn(t3);
+        });
+        p.build().unwrap()
+    }
+}
